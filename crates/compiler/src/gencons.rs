@@ -270,15 +270,20 @@ impl<'a> Analyzer<'a> {
                     sets.cons.kill_all(&g);
                     sets.cons.extend(&c);
                 }
-                if let Some(i) = init {
-                    self.stmt(sets, i)?;
+                // The step and condition run after `init`, so their reads
+                // go in first (the sets are built in reverse); `init` then
+                // kills the loop variable they mention. The step runs only
+                // if the body does: its reads count, its writes are not
+                // must-defs.
+                if let Some(st) = step {
+                    let reads = self.clone_ctx().segment(std::slice::from_ref(st))?.cons;
+                    sets.cons.extend(&reads);
                 }
                 if let Some(c) = cond {
                     self.add_reads(sets, c)?;
                 }
-                if let Some(st) = step {
-                    // step reads/writes its var; the var is loop-local.
-                    let _ = st;
+                if let Some(i) = init {
+                    self.stmt(sets, i)?;
                 }
             }
             StmtKind::Foreach { var, domain, body } => {

@@ -25,8 +25,11 @@ use crate::error::{CompileError, CompileResult};
 use crate::normalize::NormalizedPipeline;
 use crate::place::{Place, Sectioning};
 use cgp_lang::ast::Type;
-use cgp_lang::value::Value;
+use cgp_lang::value::{ObjectVal, Value};
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// One packed field: the place and the filter (pipeline-unit index) that
 /// first consumes it.
@@ -233,113 +236,6 @@ fn push_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Scratch size (in 8-byte words) for chunked LE conversion of value
-/// runs: converted on the stack, appended as whole byte slices.
-const RUN_CHUNK: usize = 64;
-
-/// Pack a sectioned entry's whole run of elements.
-///
-/// Fast path — a plain array root (no field path) with an 8-byte scalar
-/// kind: the array is borrowed **once** for the run and values are
-/// LE-converted through a stack scratch buffer, appended chunk-at-a-time
-/// (no per-element `Value` clone, hash lookup, or 8-byte push). Anything
-/// else falls back to the general per-element select.
-fn pack_run(
-    out: &mut Vec<u8>,
-    kind: ScalarKind,
-    vars: &HashMap<String, Value>,
-    p: &Place,
-    ix: &[i64],
-) -> CompileResult<()> {
-    if p.fields.is_empty() && matches!(kind, ScalarKind::F64 | ScalarKind::I64) {
-        if let Some(Value::Array(a)) = vars.get(&p.root) {
-            let a = a.borrow();
-            let mut scratch = [0u8; RUN_CHUNK * 8];
-            let mut filled = 0usize;
-            for &i in ix {
-                let v = a.get(i as usize).ok_or_else(|| {
-                    CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
-                })?;
-                let word: u64 = match (kind, v) {
-                    (ScalarKind::I64, Value::Int(x)) => *x as u64,
-                    (ScalarKind::F64, Value::Double(x)) => x.to_bits(),
-                    (ScalarKind::F64, Value::Int(x)) => (*x as f64).to_bits(),
-                    (k, other) => {
-                        return Err(CompileError::new(format!(
-                            "cannot pack value `{other}` as {k:?}"
-                        )))
-                    }
-                };
-                scratch[filled * 8..filled * 8 + 8].copy_from_slice(&word.to_le_bytes());
-                filled += 1;
-                if filled == RUN_CHUNK {
-                    out.extend_from_slice(&scratch);
-                    filled = 0;
-                }
-            }
-            if filled > 0 {
-                out.extend_from_slice(&scratch[..filled * 8]);
-            }
-            return Ok(());
-        }
-    }
-    for &i in ix {
-        push_scalar(out, kind, &select(vars, p, Some(i))?)?;
-    }
-    Ok(())
-}
-
-/// Unpack a sectioned entry's whole run of elements (inverse of
-/// [`pack_run`]): for a plain array root with an 8-byte scalar kind the
-/// wire run is taken as one slice (one bounds check) and scattered under
-/// a single `borrow_mut`; otherwise falls back to per-element store.
-fn unpack_run(
-    vars: &mut HashMap<String, Value>,
-    p: &Place,
-    ix: &[i64],
-    alloc_len: usize,
-    kind: ScalarKind,
-    buf: &[u8],
-    pos: &mut usize,
-) -> CompileResult<()> {
-    if ix.is_empty() {
-        // Nothing crossed: leave the binding absent, like the
-        // per-element path.
-        return Ok(());
-    }
-    if p.fields.is_empty() && matches!(kind, ScalarKind::F64 | ScalarKind::I64) {
-        let end = *pos + ix.len() * 8;
-        let run = buf
-            .get(*pos..end)
-            .ok_or_else(|| CompileError::new("buffer underrun (run)"))?;
-        *pos = end;
-        let root = vars
-            .entry(p.root.clone())
-            .or_insert_with(|| Value::new_array(alloc_len, Value::Null));
-        let Value::Array(a) = root else {
-            return Err(CompileError::new(format!("`{}` is not an array", p.root)));
-        };
-        let mut a = a.borrow_mut();
-        for (j, c) in run.chunks_exact(8).enumerate() {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            let i = ix[j] as usize;
-            if i >= a.len() {
-                return Err(CompileError::new(format!("unpack index {i} out of range")));
-            }
-            a[i] = match kind {
-                ScalarKind::F64 => Value::Double(f64::from_bits(word)),
-                _ => Value::Int(word as i64),
-            };
-        }
-        return Ok(());
-    }
-    for &i in ix {
-        let v = read_scalar(buf, pos, kind)?;
-        store(vars, p, Some(i), alloc_len, v)?;
-    }
-    Ok(())
-}
-
 fn read_i64(buf: &[u8], pos: &mut usize) -> CompileResult<i64> {
     let end = *pos + 8;
     let b = buf
@@ -349,152 +245,480 @@ fn read_i64(buf: &[u8], pos: &mut usize) -> CompileResult<i64> {
     Ok(i64::from_le_bytes(b.try_into().expect("8-byte slice")))
 }
 
-fn push_scalar(out: &mut Vec<u8>, kind: ScalarKind, v: &Value) -> CompileResult<()> {
+/// Write `w` little-endian at the front of `dst`.
+#[inline(always)]
+fn put_word(dst: &mut [u8], w: u64) {
+    dst[..8].copy_from_slice(&w.to_le_bytes());
+}
+
+/// The little-endian word at the front of `src`.
+#[inline(always)]
+fn word(src: &[u8]) -> u64 {
+    u64::from_le_bytes(src[..8].try_into().expect("8 bytes"))
+}
+
+/// Write `v` as a `kind` scalar at the front of `dst`.
+#[inline(always)]
+fn put_scalar(dst: &mut [u8], kind: ScalarKind, v: &Value) -> CompileResult<()> {
     match (kind, v) {
-        (ScalarKind::I64, Value::Int(x)) => push_i64(out, *x),
-        (ScalarKind::F64, Value::Double(x)) => push_i64(out, x.to_bits() as i64),
-        (ScalarKind::F64, Value::Int(x)) => push_i64(out, (*x as f64).to_bits() as i64),
-        (ScalarKind::Bool, Value::Bool(x)) => out.push(*x as u8),
+        (ScalarKind::I64, Value::Int(x)) => put_word(dst, *x as u64),
+        (ScalarKind::F64, Value::Double(x)) => put_word(dst, x.to_bits()),
+        (ScalarKind::F64, Value::Int(x)) => put_word(dst, (*x as f64).to_bits()),
+        (ScalarKind::Bool, Value::Bool(x)) => dst[0] = *x as u8,
         (ScalarKind::Domain, Value::Domain(lo, hi)) => {
-            push_i64(out, *lo);
-            push_i64(out, *hi);
+            put_word(dst, *lo as u64);
+            put_word(&mut dst[8..], *hi as u64);
         }
         // Unwritten slots of expanded arrays keep their default; Null can
         // only appear for object defaults, which scalar places never select.
-        (k, other) => {
-            return Err(CompileError::new(format!(
-                "cannot pack value `{other}` as {k:?}"
-            )))
+        (k, other) => return Err(cannot_pack(k, other)),
+    }
+    Ok(())
+}
+
+#[cold]
+fn cannot_pack(kind: ScalarKind, v: &Value) -> CompileError {
+    CompileError::new(format!("cannot pack value `{v}` as {kind:?}"))
+}
+
+#[cold]
+fn pack_out_of_range(i: i64, p: &Place) -> CompileError {
+    CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
+}
+
+/// Read a `kind` scalar from the front of `src`.
+#[inline(always)]
+fn get_scalar(src: &[u8], kind: ScalarKind) -> Value {
+    match kind {
+        ScalarKind::I64 => Value::Int(word(src) as i64),
+        ScalarKind::F64 => Value::Double(f64::from_bits(word(src))),
+        ScalarKind::Bool => Value::Bool(src[0] != 0),
+        ScalarKind::Domain => Value::Domain(word(src) as i64, word(&src[8..]) as i64),
+    }
+}
+
+/// Write the scalar that `fields` (the rest of place `p`'s field path)
+/// selects below `v`.
+fn put_path(
+    dst: &mut [u8],
+    kind: ScalarKind,
+    v: &Value,
+    fields: &[String],
+    p: &Place,
+) -> CompileResult<()> {
+    let Some((f, rest)) = fields.split_first() else {
+        return put_scalar(dst, kind, v);
+    };
+    let Value::Object(o) = v else {
+        // default-constructed slot never touched upstream: substitute the
+        // field type's default (numeric zero)
+        return put_scalar(dst, kind, &Value::Double(0.0));
+    };
+    let o = o.borrow();
+    let next = o
+        .fields
+        .get(f)
+        .ok_or_else(|| CompileError::new(format!("missing field `{f}` while packing {p}")))?;
+    put_path(dst, kind, next, rest, p)
+}
+
+/// A run of interleave positions in which the same entries are present:
+/// positions `rows`, each `width` bytes, the first at byte `start` of the
+/// section. `members` pairs each present entry's index with its byte
+/// offset within a position.
+struct Stretch {
+    rows: Range<usize>,
+    start: usize,
+    width: usize,
+    members: Vec<(usize, usize)>,
+}
+
+impl Stretch {
+    /// The stretch's byte range within the section.
+    fn bytes(&self) -> Range<usize> {
+        self.start..self.start + self.width * self.rows.len()
+    }
+}
+
+/// Lay out an interleave in which entry `k` has `entries[k] = (len,
+/// width)`: `len` elements of `width` bytes each. Position `j` holds the
+/// `j`-th element of every entry that has one, in entry order. Returns the
+/// stretches and the section's byte length. One entry is one contiguous
+/// run; equal lengths give one stretch of fixed-width positions.
+fn interleave(entries: &[(usize, usize)]) -> (Vec<Stretch>, usize) {
+    let mut cuts: Vec<usize> = entries.iter().map(|&(n, _)| n).filter(|&n| n > 0).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let (mut stretches, mut from, mut start) = (Vec::with_capacity(cuts.len()), 0, 0);
+    for to in cuts {
+        let (mut members, mut width) = (Vec::new(), 0);
+        for (k, &(n, w)) in entries.iter().enumerate() {
+            if n >= to {
+                members.push((k, width));
+                width += w;
+            }
+        }
+        stretches.push(Stretch {
+            rows: from..to,
+            start,
+            width,
+            members,
+        });
+        start += width * (to - from);
+        from = to;
+    }
+    (stretches, start)
+}
+
+/// Where one entry's values come from on the sending side, resolved once
+/// per packet.
+enum Source<'a> {
+    /// An unsectioned binding: one value, at position 0.
+    Binding(&'a Value),
+    /// A sectioned root's array, borrowed once for the packet, and the
+    /// element indices to send.
+    Array(Ref<'a, Vec<Value>>, Vec<i64>),
+    /// A sectioned entry with no elements in this packet.
+    Empty,
+}
+
+/// One entry of an outgoing packet.
+struct Column<'a> {
+    entry: &'a PackEntry,
+    src: Source<'a>,
+}
+
+impl<'a> Column<'a> {
+    /// Resolve `entry`'s source in `vars`; `ix` is its element index list
+    /// (`None` when unsectioned).
+    fn resolve(
+        vars: &'a HashMap<String, Value>,
+        entry: &'a PackEntry,
+        ix: Option<Vec<i64>>,
+    ) -> CompileResult<Self> {
+        let p = &entry.place;
+        if ix.as_ref().is_some_and(Vec::is_empty) {
+            return Ok(Column {
+                entry,
+                src: Source::Empty,
+            });
+        }
+        let root = vars.get(&p.root).ok_or_else(|| {
+            CompileError::new(format!("missing variable `{}` while packing", p.root))
+        })?;
+        let src = match (ix, root) {
+            (None, v) => Source::Binding(v),
+            (Some(ix), Value::Array(a)) => Source::Array(a.borrow(), ix),
+            (Some(_), other) => {
+                return Err(CompileError::new(format!(
+                    "sectioned place `{p}` but `{}` is `{other}`",
+                    p.root
+                )))
+            }
+        };
+        Ok(Column { entry, src })
+    }
+
+    /// Elements in this packet, or `None` for an unsectioned binding.
+    fn sectioned_len(&self) -> Option<usize> {
+        match &self.src {
+            Source::Binding(_) => None,
+            Source::Array(_, ix) => Some(ix.len()),
+            Source::Empty => Some(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sectioned_len().unwrap_or(1)
+    }
+
+    /// Write elements `rows`, one per `stride`-byte position of `dst`, at
+    /// byte `off` of each.
+    fn write(
+        &self,
+        dst: &mut [u8],
+        stride: usize,
+        off: usize,
+        rows: Range<usize>,
+    ) -> CompileResult<()> {
+        let (kind, p) = (self.entry.elem, &self.entry.place);
+        match &self.src {
+            Source::Binding(v) => put_path(&mut dst[off..], kind, v, &p.fields, p),
+            Source::Array(a, ix) => {
+                let (ix, positions) = (&ix[rows], dst.chunks_exact_mut(stride));
+                // One loop per common kind, each encoding a constant kind:
+                // no type dispatch per element.
+                match kind {
+                    _ if !p.fields.is_empty() => gather(a, ix, positions, p, |out, v| {
+                        put_path(&mut out[off..], kind, v, &p.fields, p)
+                    }),
+                    ScalarKind::F64 => gather(a, ix, positions, p, |out, v| {
+                        put_scalar(&mut out[off..], ScalarKind::F64, v)
+                    }),
+                    ScalarKind::I64 => gather(a, ix, positions, p, |out, v| {
+                        put_scalar(&mut out[off..], ScalarKind::I64, v)
+                    }),
+                    k => gather(a, ix, positions, p, |out, v| {
+                        put_scalar(&mut out[off..], k, v)
+                    }),
+                }
+            }
+            Source::Empty => Ok(()),
+        }
+    }
+}
+
+/// Encode element `a[ix[k]]` into each position with `encode`.
+#[inline(always)]
+fn gather<'b>(
+    a: &[Value],
+    ix: &[i64],
+    positions: impl Iterator<Item = &'b mut [u8]>,
+    p: &Place,
+    encode: impl Fn(&mut [u8], &Value) -> CompileResult<()>,
+) -> CompileResult<()> {
+    for (&i, out) in ix.iter().zip(positions) {
+        // A negative `i` wraps to an index past the end: out of range.
+        match a.get(i as usize) {
+            Some(v) => encode(out, v)?,
+            None => return Err(pack_out_of_range(i, p)),
         }
     }
     Ok(())
 }
 
-fn read_scalar(buf: &[u8], pos: &mut usize, kind: ScalarKind) -> CompileResult<Value> {
-    Ok(match kind {
-        ScalarKind::I64 => Value::Int(read_i64(buf, pos)?),
-        ScalarKind::F64 => Value::Double(f64::from_bits(read_i64(buf, pos)? as u64)),
-        ScalarKind::Bool => {
-            let b = *buf
-                .get(*pos)
-                .ok_or_else(|| CompileError::new("buffer underrun (bool)"))?;
-            *pos += 1;
-            Value::Bool(b != 0)
+/// Bytes of whole positions [`pack_section`] assembles at a time before
+/// appending them.
+const PACK_CHUNK: usize = 512;
+
+/// Append the interleaved section of `cols` to `out`. Positions are
+/// assembled a chunk at a time in a small scratch buffer and appended
+/// whole, so `out` is written once and never zero-filled.
+fn pack_section(out: &mut Vec<u8>, cols: &[Column]) -> CompileResult<()> {
+    let entries: Vec<_> = cols
+        .iter()
+        .map(|c| (c.len(), c.entry.elem.byte_len()))
+        .collect();
+    let (stretches, _) = interleave(&entries);
+    // The first stretch has every entry in it, so it is the widest.
+    let widest = stretches.first().map_or(0, |s| s.width);
+    let mut scratch = vec![0u8; PACK_CHUNK.max(widest)];
+    for s in &stretches {
+        let per_chunk = scratch.len() / s.width;
+        let mut from = s.rows.start;
+        while from < s.rows.end {
+            let to = (from + per_chunk).min(s.rows.end);
+            let chunk = &mut scratch[..(to - from) * s.width];
+            for &(k, off) in &s.members {
+                cols[k].write(chunk, s.width, off, from..to)?;
+            }
+            out.extend_from_slice(chunk);
+            from = to;
         }
-        ScalarKind::Domain => {
-            let lo = read_i64(buf, pos)?;
-            let hi = read_i64(buf, pos)?;
-            Value::Domain(lo, hi)
-        }
-    })
+    }
+    Ok(())
 }
 
-/// Extract the scalar a place selects at element index `idx` from `vars`.
-fn select(vars: &HashMap<String, Value>, p: &Place, idx: Option<i64>) -> CompileResult<Value> {
-    let root = vars
-        .get(&p.root)
-        .ok_or_else(|| CompileError::new(format!("missing variable `{}` while packing", p.root)))?;
-    let mut cur = match (idx, root) {
-        (None, v) => v.clone(),
-        (Some(i), Value::Array(a)) => {
-            let a = a.borrow();
-            a.get(i as usize).cloned().ok_or_else(|| {
-                CompileError::new(format!("pack index {i} out of range for `{}`", p.root))
-            })?
-        }
-        (Some(_), other) => {
-            return Err(CompileError::new(format!(
-                "sectioned place `{p}` but `{}` is `{other}`",
-                p.root
-            )))
-        }
-    };
-    for f in &p.fields {
-        let Value::Object(o) = &cur else {
-            // default-constructed slot never touched upstream: substitute
-            // the field type's default (numeric zero)
-            return Ok(Value::Double(0.0));
+/// Where one entry's values land on the receiving side, resolved once per
+/// packet.
+enum Sink {
+    /// An unsectioned binding, stored by name.
+    Binding,
+    /// A plain array root and the slot of each element.
+    Array(Rc<RefCell<Vec<Value>>>, Vec<i64>),
+    /// A field path: per element, the object holding the last field
+    /// (shared by every field of the root at that slot), and that field.
+    Fields(Vec<Rc<RefCell<ObjectVal>>>, String),
+}
+
+/// One entry of an incoming packet: its first `len` elements go to `sink`.
+struct Dest<'a> {
+    entry: &'a PackEntry,
+    len: usize,
+    sink: Sink,
+}
+
+impl<'a> Dest<'a> {
+    /// Resolve `entry`'s destination in `vars`, allocating its root array
+    /// (`max(top + 1, packet_len)` slots, all Null) unless an earlier
+    /// entry did. `ix` is its element index list (`None` when
+    /// unsectioned), of which at most `rows` elements are on the wire. An
+    /// entry with no elements resolves to nothing and leaves its binding
+    /// absent.
+    fn resolve(
+        vars: &mut HashMap<String, Value>,
+        entry: &'a PackEntry,
+        ix: Option<Vec<i64>>,
+        rows: usize,
+        packet_len: usize,
+    ) -> CompileResult<Option<Self>> {
+        let p = &entry.place;
+        let Some(ix) = ix else {
+            return Ok(Some(Dest {
+                entry,
+                len: 1,
+                sink: Sink::Binding,
+            }));
         };
-        let next =
-            o.borrow().fields.get(f).cloned().ok_or_else(|| {
-                CompileError::new(format!("missing field `{f}` while packing {p}"))
-            })?;
+        let len = ix.len().min(rows);
+        if len == 0 {
+            return Ok(None);
+        }
+        let top = ix.iter().copied().max().expect("non-empty");
+        let alloc_len = usize::try_from(top).map_or(0, |t| t + 1).max(packet_len);
+        let root = vars
+            .entry(p.root.clone())
+            .or_insert_with(|| Value::new_array(alloc_len, Value::Null));
+        let Value::Array(a) = root else {
+            return Err(CompileError::new(format!("`{}` is not an array", p.root)));
+        };
+        let sink = match p.fields.split_last() {
+            None => Sink::Array(a.clone(), ix),
+            Some((leaf, path)) => {
+                let mut a = a.borrow_mut();
+                let objs = ix[..len]
+                    .iter()
+                    .map(|&i| {
+                        let slot = usize::try_from(i).ok().and_then(|i| a.get_mut(i));
+                        leaf_object(slot.ok_or_else(|| out_of_range(i))?, path)
+                    })
+                    .collect::<CompileResult<_>>()?;
+                Sink::Fields(objs, leaf.clone())
+            }
+        };
+        Ok(Some(Dest { entry, len, sink }))
+    }
+
+    /// Read elements `rows`, one per `stride`-byte position of `src`, from
+    /// byte `off` of each.
+    fn read(
+        &self,
+        vars: &mut HashMap<String, Value>,
+        src: &[u8],
+        stride: usize,
+        off: usize,
+        rows: Range<usize>,
+    ) -> CompileResult<()> {
+        let kind = self.entry.elem;
+        let positions = src.chunks_exact(stride);
+        match &self.sink {
+            Sink::Binding => store_binding(vars, &self.entry.place, get_scalar(&src[off..], kind)),
+            Sink::Array(a, ix) => {
+                let (mut a, ix) = (a.borrow_mut(), &ix[rows]);
+                // One loop per common kind, each decoding a constant kind:
+                // no type dispatch per element.
+                match kind {
+                    ScalarKind::F64 => scatter(&mut a, ix, positions, |b| {
+                        get_scalar(&b[off..], ScalarKind::F64)
+                    }),
+                    ScalarKind::I64 => scatter(&mut a, ix, positions, |b| {
+                        get_scalar(&b[off..], ScalarKind::I64)
+                    }),
+                    k => scatter(&mut a, ix, positions, |b| get_scalar(&b[off..], k)),
+                }
+            }
+            Sink::Fields(objs, leaf) => {
+                for (obj, b) in objs[rows].iter().zip(positions) {
+                    let v = get_scalar(&b[off..], kind);
+                    obj.borrow_mut().fields.insert(leaf.clone(), v);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Store each position's element, decoded, into slot `ix[k]` of `a`.
+#[inline(always)]
+fn scatter<'b>(
+    a: &mut [Value],
+    ix: &[i64],
+    positions: impl Iterator<Item = &'b [u8]>,
+    decode: impl Fn(&[u8]) -> Value,
+) -> CompileResult<()> {
+    for (&i, b) in ix.iter().zip(positions) {
+        // A negative `i` wraps to an index past the end: out of range.
+        match a.get_mut(i as usize) {
+            Some(slot) => *slot = decode(b),
+            None => return Err(out_of_range(i)),
+        }
+    }
+    Ok(())
+}
+
+#[cold]
+fn out_of_range(i: i64) -> CompileError {
+    CompileError::new(format!("unpack index {i} out of range"))
+}
+
+/// The object below `slot` that holds the field after `path`, creating
+/// `__packed` objects where none exist (the receiving filter starts from
+/// an empty frame).
+fn leaf_object(slot: &mut Value, path: &[String]) -> CompileResult<Rc<RefCell<ObjectVal>>> {
+    if !matches!(slot, Value::Object(_)) {
+        *slot = Value::new_object("__packed", HashMap::new());
+    }
+    let Value::Object(o) = slot else {
+        unreachable!("just made an object")
+    };
+    let mut cur = o.clone();
+    for f in path {
+        let next = match cur
+            .borrow_mut()
+            .fields
+            .entry(f.clone())
+            .or_insert_with(|| Value::new_object("__packed", HashMap::new()))
+        {
+            Value::Object(n) => n.clone(),
+            other => {
+                return Err(CompileError::new(format!(
+                    "field `{f}` is `{other}`, not an object, while unpacking"
+                )))
+            }
+        };
         cur = next;
     }
     Ok(cur)
 }
 
-/// Store a scalar into `vars` at the slot a place selects; allocates arrays
-/// and objects as needed (the receiving filter starts from an empty frame).
-fn store(
+/// Store an unsectioned value at the binding a place selects.
+fn store_binding(vars: &mut HashMap<String, Value>, p: &Place, v: Value) -> CompileResult<()> {
+    match p.fields.split_last() {
+        None => {
+            vars.insert(p.root.clone(), v);
+        }
+        Some((leaf, path)) => {
+            let root = vars.entry(p.root.clone()).or_insert(Value::Null);
+            let obj = leaf_object(root, path)?;
+            obj.borrow_mut().fields.insert(leaf.clone(), v);
+        }
+    }
+    Ok(())
+}
+
+/// Read the interleaved section of `dests` at `*pos` (inverse of
+/// [`pack_section`]).
+fn unpack_section(
     vars: &mut HashMap<String, Value>,
-    p: &Place,
-    idx: Option<i64>,
-    alloc_len: usize,
-    v: Value,
+    dests: &[Dest],
+    buf: &[u8],
+    pos: &mut usize,
 ) -> CompileResult<()> {
-    let root = vars.entry(p.root.clone()).or_insert_with(|| match idx {
-        Some(_) => Value::new_array(alloc_len, Value::Null),
-        None => Value::Null,
-    });
-    if p.fields.is_empty() {
-        match idx {
-            None => {
-                *root = v;
-            }
-            Some(i) => {
-                let Value::Array(a) = root else {
-                    return Err(CompileError::new(format!("`{}` is not an array", p.root)));
-                };
-                let mut a = a.borrow_mut();
-                let i = i as usize;
-                if i >= a.len() {
-                    return Err(CompileError::new(format!("unpack index {i} out of range")));
-                }
-                a[i] = v;
-            }
+    let entries: Vec<_> = dests
+        .iter()
+        .map(|d| (d.len, d.entry.elem.byte_len()))
+        .collect();
+    let (stretches, bytes) = interleave(&entries);
+    let section = buf
+        .get(*pos..*pos + bytes)
+        .ok_or_else(|| CompileError::new("buffer underrun (section)"))?;
+    *pos += bytes;
+    for s in &stretches {
+        for &(k, off) in &s.members {
+            dests[k].read(vars, &section[s.bytes()], s.width, off, s.rows.clone())?;
         }
-        return Ok(());
     }
-    // field path: ensure an object exists at the slot, then walk/create
-    let slot_obj = |slot: &mut Value| -> Value {
-        if !matches!(slot, Value::Object(_)) {
-            *slot = Value::new_object("__packed", HashMap::new());
-        }
-        slot.clone()
-    };
-    let mut cur = match idx {
-        None => slot_obj(root),
-        Some(i) => {
-            let Value::Array(a) = root else {
-                return Err(CompileError::new(format!("`{}` is not an array", p.root)));
-            };
-            let mut a = a.borrow_mut();
-            let i = i as usize;
-            if i >= a.len() {
-                return Err(CompileError::new(format!("unpack index {i} out of range")));
-            }
-            slot_obj(&mut a[i])
-        }
-    };
-    for (k, f) in p.fields.iter().enumerate() {
-        let Value::Object(o) = &cur else {
-            unreachable!("slot_obj guarantees an object");
-        };
-        if k == p.fields.len() - 1 {
-            o.borrow_mut().fields.insert(f.clone(), v);
-            return Ok(());
-        }
-        let next = {
-            let mut ob = o.borrow_mut();
-            ob.fields
-                .entry(f.clone())
-                .or_insert_with(|| Value::new_object("__packed", HashMap::new()))
-                .clone()
-        };
-        cur = next;
-    }
-    unreachable!("fields is non-empty")
+    Ok(())
 }
 
 /// Pack the layout's values from `vars` into a byte buffer.
@@ -502,6 +726,9 @@ fn store(
 /// Header: `pkt.lo`, `pkt.hi` (i64 each). If the layout is filtered, the
 /// passing-index list (count + absolute indices) follows; sectioned entries
 /// then carry `selection.len()` elements each instead of their full range.
+///
+/// Each entry's index list and source array are resolved once, before any
+/// byte is written; the elements then stream into their wire positions.
 pub fn pack(
     layout: &PackLayout,
     vars: &HashMap<String, Value>,
@@ -542,40 +769,19 @@ pub fn pack(
         }
         Ok(Some(section_indices(slo, shi, stride)))
     };
+    let resolve = |e| Column::resolve(vars, e, indices_for(&e.place)?);
+    let inst = (layout.instance_wise.iter().map(resolve)).collect::<CompileResult<Vec<_>>>()?;
+    let fw = (layout.field_wise.iter().map(resolve)).collect::<CompileResult<Vec<_>>>()?;
 
-    // Resolve every entry's index list first, so the output buffer can be
-    // reserved at its exact final size — one allocation, zero growth.
-    let mut inst_indices: Vec<Option<Vec<i64>>> = Vec::new();
-    for e in &layout.instance_wise {
-        inst_indices.push(indices_for(&e.place)?);
-    }
-    let mut fw_indices: Vec<Option<Vec<i64>>> = Vec::new();
-    for e in &layout.field_wise {
-        fw_indices.push(indices_for(&e.place)?);
-    }
-    let entry_bytes = |e: &PackEntry, ix: &Option<Vec<i64>>| -> usize {
-        match ix {
-            None => e.elem.byte_len(),
-            Some(v) => v.len() * e.elem.byte_len(),
-        }
-    };
+    // Every size is known up front: reserve the exact final length once.
+    let wire_bytes = |c: &Column| c.len() * c.entry.elem.byte_len();
     let total: usize = 16
         + selection
             .filter(|_| layout.filtered.is_some())
             .map_or(0, |s| 8 + 8 * s.len())
         + 8
-        + layout
-            .instance_wise
-            .iter()
-            .zip(&inst_indices)
-            .map(|(e, ix)| entry_bytes(e, ix))
-            .sum::<usize>()
-        + layout
-            .field_wise
-            .iter()
-            .zip(&fw_indices)
-            .map(|(e, ix)| 8 + entry_bytes(e, ix))
-            .sum::<usize>();
+        + inst.iter().map(wire_bytes).sum::<usize>()
+        + fw.iter().map(|c| 8 + wire_bytes(c)).sum::<usize>();
 
     let mut out = Vec::with_capacity(total);
     push_i64(&mut out, pkt.0);
@@ -588,56 +794,20 @@ pub fn pack(
         }
     }
 
-    // Instance-wise: interleave entries element-by-element. A single
-    // sectioned entry degenerates to one contiguous run — take the bulk
-    // path; genuine interleaves (the A3 instance-wise trade-off) go
-    // per-position.
-    let count = inst_indices
+    // Instance-wise: one interleave under one count.
+    let count = inst
         .iter()
-        .filter_map(|ix| ix.as_ref().map(|v| v.len()))
+        .filter_map(Column::sectioned_len)
         .max()
         .unwrap_or(0);
     push_i64(&mut out, count as i64);
-    if let [e] = &layout.instance_wise[..] {
-        match &inst_indices[0] {
-            None => push_scalar(&mut out, e.elem, &select(vars, &e.place, None)?)?,
-            Some(ix) => pack_run(&mut out, e.elem, vars, &e.place, ix)?,
-        }
-    } else {
-        for pos in 0..count.max(1) {
-            for (e, ix) in layout.instance_wise.iter().zip(&inst_indices) {
-                match ix {
-                    None => {
-                        if pos == 0 {
-                            push_scalar(&mut out, e.elem, &select(vars, &e.place, None)?)?;
-                        }
-                    }
-                    Some(ix) => {
-                        if let Some(i) = ix.get(pos) {
-                            push_scalar(&mut out, e.elem, &select(vars, &e.place, Some(*i))?)?;
-                        }
-                    }
-                }
-            }
-            if count == 0 {
-                break;
-            }
-        }
-    }
+    pack_section(&mut out, &inst)?;
 
-    // Field-wise: each entry contiguous, preceded by its own count — the
-    // shape the bulk run path is built for.
-    for (e, ix) in layout.field_wise.iter().zip(&fw_indices) {
-        match ix {
-            None => {
-                push_i64(&mut out, -1); // scalar marker
-                push_scalar(&mut out, e.elem, &select(vars, &e.place, None)?)?;
-            }
-            Some(ix) => {
-                push_i64(&mut out, ix.len() as i64);
-                pack_run(&mut out, e.elem, vars, &e.place, ix)?;
-            }
-        }
+    // Field-wise: each entry contiguous, preceded by its own count (-1
+    // marks a scalar).
+    for c in &fw {
+        push_i64(&mut out, c.sectioned_len().map_or(-1, |n| n as i64));
+        pack_section(&mut out, std::slice::from_ref(c))?;
     }
     debug_assert_eq!(out.len(), total, "pack size precomputation must be exact");
     Ok(out)
@@ -662,6 +832,11 @@ pub struct Unpacked {
 }
 
 /// Unpack a buffer produced by [`pack`] with the same layout.
+///
+/// Each entry's index list, allocation length and destination are
+/// resolved once per packet, before its elements are read, so the work is
+/// linear in the section plus one `max(top + 1, packet_len)`-slot array
+/// per sectioned root.
 pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResult<Unpacked> {
     let mut pos = 0usize;
     let lo = read_i64(buf, &mut pos)?;
@@ -698,67 +873,22 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         }
         Ok(Some(section_indices(slo, shi, stride)))
     };
-    // Allocation length for arrays: enough to hold the section's top index.
-    let alloc_len = |_p: &Place, ix: &Option<Vec<i64>>| -> usize {
-        match ix {
-            Some(v) => v.iter().copied().max().map(|m| m as usize + 1).unwrap_or(0),
-            None => 0,
-        }
-        .max(packet_len)
-    };
 
-    let mut inst_indices: Vec<Option<Vec<i64>>> = Vec::new();
-    for e in &layout.instance_wise {
-        inst_indices.push(indices_for(&e.place)?);
+    let inst_indices = (layout.instance_wise.iter())
+        .map(|e| indices_for(&e.place))
+        .collect::<CompileResult<Vec<_>>>()?;
+    let rows = (read_i64(buf, &mut pos)? as usize).max(1);
+    let mut dests = Vec::with_capacity(inst_indices.len());
+    for (e, ix) in layout.instance_wise.iter().zip(inst_indices) {
+        dests.extend(Dest::resolve(&mut vars, e, ix, rows, packet_len)?);
     }
-    let count = read_i64(buf, &mut pos)? as usize;
-    // A single sectioned instance-wise entry is one contiguous run on the
-    // wire — scatter it in bulk; genuine interleaves go per-position.
-    let single_run = matches!(
-        (&layout.instance_wise[..], &inst_indices[..]),
-        ([_], [Some(list)]) if list.len() == count
-    );
-    if single_run {
-        let e = &layout.instance_wise[0];
-        let ix = inst_indices[0].as_ref().expect("matched Some");
-        unpack_run(
-            &mut vars,
-            &e.place,
-            ix,
-            alloc_len(&e.place, &inst_indices[0]),
-            e.elem,
-            buf,
-            &mut pos,
-        )?;
-    } else {
-        for p in 0..count.max(1) {
-            for (e, ix) in layout.instance_wise.iter().zip(&inst_indices) {
-                match ix {
-                    None => {
-                        if p == 0 {
-                            let v = read_scalar(buf, &mut pos, e.elem)?;
-                            store(&mut vars, &e.place, None, 0, v)?;
-                        }
-                    }
-                    Some(list) => {
-                        if let Some(i) = list.get(p) {
-                            let v = read_scalar(buf, &mut pos, e.elem)?;
-                            store(&mut vars, &e.place, Some(*i), alloc_len(&e.place, ix), v)?;
-                        }
-                    }
-                }
-            }
-            if count == 0 {
-                break;
-            }
-        }
-    }
+    unpack_section(&mut vars, &dests, buf, &mut pos)?;
 
     for e in &layout.field_wise {
+        // Each entry is preceded by its own count; -1 marks a scalar.
         let n = read_i64(buf, &mut pos)?;
-        if n < 0 {
-            let v = read_scalar(buf, &mut pos, e.elem)?;
-            store(&mut vars, &e.place, None, 0, v)?;
+        let ix = if n < 0 {
+            None
         } else {
             let ix = indices_for(&e.place)?
                 .ok_or_else(|| CompileError::new("sectioned payload for scalar place"))?;
@@ -770,9 +900,10 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
                     ix.len()
                 )));
             }
-            let alen = alloc_len(&e.place, &Some(ix.clone()));
-            unpack_run(&mut vars, &e.place, &ix, alen, e.elem, buf, &mut pos)?;
-        }
+            Some(ix)
+        };
+        let dest = Dest::resolve(&mut vars, e, ix, n.max(0) as usize, packet_len)?;
+        unpack_section(&mut vars, dest.as_slice(), buf, &mut pos)?;
     }
 
     Ok(Unpacked {

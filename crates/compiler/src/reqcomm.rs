@@ -282,4 +282,46 @@ mod tests {
         assert!(!last.contains("b__x"), "last = {last}");
         assert!(!last.contains("xs"), "last = {last}");
     }
+
+    #[test]
+    fn for_loop_locals_stay_home_and_step_reads_cross() {
+        // `sx` is declared by the `for` itself, so no boundary may ship
+        // it; the step reads the stride `steps[i]`, so the filtering cut
+        // in front of the guarded body must ship that.
+        let src = r#"
+            extern int n;
+            extern int width;
+            extern double[] xs;
+            extern int[] steps;
+            class Acc implements Reducinterface {
+                double t;
+                void reduce(Acc o) { t = t + o.t; }
+                void add(double v) { t = t + v; }
+            }
+            class A { void main() {
+                RectDomain<1> all = [0 : n - 1];
+                Acc acc = new Acc();
+                PipelinedLoop (pkt in all; 2) {
+                    foreach (i in pkt) {
+                        if (xs[i] > 0.5) {
+                            for (int sx = 0; sx < width / 2; sx += steps[i]) {
+                                acc.add(xs[i] * sx);
+                            }
+                        }
+                    }
+                }
+                print(acc.t);
+            } }
+        "#;
+        let (_np, g, ca) = chain(src);
+        for (b, rc) in ca.reqcomm.iter().enumerate() {
+            assert!(!rc.iter().any(|p| p.root == "sx"), "b{b} = {rc}");
+        }
+        let (_, cond_b) = g.cond_boundaries[0];
+        let at_cut = &ca.reqcomm[cond_b];
+        assert!(
+            at_cut.iter().any(|p| p.root == "steps"),
+            "b{cond_b} = {at_cut}"
+        );
+    }
 }

@@ -139,8 +139,10 @@ fn receiver_drop_mid_batch_returns_the_remainder() {
     let mut rng = SmallRng::seed_from_u64(0xD15C);
     for case in 0..16 {
         let capacity = rng.gen_range(1, 9);
-        let batch_len = capacity + rng.gen_range(1, 9); // guaranteed to block
         let drain = rng.gen_range(0, capacity + 1);
+        // More than the ring holds plus what the receiver takes: the batch
+        // must still be blocked on backpressure when the receiver drops.
+        let batch_len = capacity + drain + rng.gen_range(1, 9);
         let (tx, rx) = spsc::<u64>(capacity, None);
 
         let producer = thread::spawn(move || {

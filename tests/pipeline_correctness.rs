@@ -7,7 +7,10 @@ use cgp_core::apps::isosurface::ScalarGrid;
 use cgp_core::apps::knn::generate_points;
 use cgp_core::apps::vmscope::Slide;
 use cgp_core::lang::{frontend, HostEnv, Interp};
-use cgp_core::{compile, run_plan_threaded, CompileOptions, PipelineEnv};
+use cgp_core::{
+    compile, run_plan_sequential, run_plan_threaded, run_plan_threaded_opts, CompileOptions,
+    Decomposition, ExecOptions, PipelineEnv,
+};
 use std::sync::Arc;
 
 fn oracle(src: &str, host: &HostEnv) -> Vec<String> {
@@ -61,6 +64,35 @@ fn vmscope_threaded_all_widths() {
         let out =
             run_plan_threaded(Arc::new(c.plan.clone()), Arc::new(host), Some(&widths)).unwrap();
         assert_eq!(out, expect, "widths {widths:?}");
+    }
+}
+
+/// Under the Default placement the filtering cut sits in front of the
+/// guarded `for` body, whose loop variable must stay local to the
+/// downstream filter (it once leaked onto the link and failed packing).
+#[test]
+fn vmscope_default_placement_matches_interp_on_both_engines() {
+    let host = || vmscope_host_env(&Slide::synthetic(32, 32, 3), 2, 4);
+    let expect = oracle(VMSCOPE_SRC, &host());
+    for m in [2, 3] {
+        let opts = CompileOptions::new(PipelineEnv::uniform(m, 1e8, 1e6, 1e-5), 8)
+            .with_symbol("height", 32)
+            .with_symbol("width", 32)
+            .with_symbol("subsample", 2)
+            .with_selectivity(0, 0.5);
+        let n_tasks = compile(VMSCOPE_SRC, &opts).unwrap().problem.n_tasks();
+        let opts = opts.with_decomposition(Decomposition::default_style(n_tasks, m));
+        let plan = Arc::new(compile(VMSCOPE_SRC, &opts).unwrap().plan);
+        assert_eq!(
+            run_plan_sequential(&plan, &host()).unwrap(),
+            expect,
+            "m={m} sequential"
+        );
+        for vm in [true, false] {
+            let exec = ExecOptions::default().use_vm(vm);
+            let out = run_plan_threaded_opts(Arc::clone(&plan), Arc::new(host), None, &exec);
+            assert_eq!(out.unwrap(), expect, "m={m} threaded, vm={vm}");
+        }
     }
 }
 
