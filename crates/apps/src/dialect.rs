@@ -14,9 +14,7 @@ use crate::isosurface::ScalarGrid;
 use crate::vmscope::Slide;
 use cgp_lang::interp::HostEnv;
 use cgp_lang::value::Value;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Isosurface rendering with z-buffers (the paper's Figure 1 workload).
 pub const ZBUF_SRC: &str = r#"
@@ -333,7 +331,7 @@ pub fn iso_host_env(grid: &ScalarGrid, isovalue: f64, screen: i64, num_packets: 
     }
     HostEnv::new()
         .bind("ncubes", Value::Int(ncubes as i64))
-        .bind("cubes", Value::Array(Rc::new(RefCell::new(cubes))))
+        .bind("cubes", Value::array(cubes))
         .bind("isoval", Value::Double(isovalue))
         .bind("screen", Value::Int(screen))
         .bind("num_packets", Value::Int(num_packets))
@@ -342,9 +340,7 @@ pub fn iso_host_env(grid: &ScalarGrid, isovalue: f64, screen: i64, num_packets: 
 /// Host environment for the knn dialect program.
 pub fn knn_host_env(points: &[[f64; 3]], query: [f64; 3], k: i64, num_packets: i64) -> HostEnv {
     let arr = |sel: fn(&[f64; 3]) -> f64| {
-        Value::Array(Rc::new(RefCell::new(
-            points.iter().map(|p| Value::Double(sel(p))).collect(),
-        )))
+        Value::array(points.iter().map(|p| Value::Double(sel(p))).collect())
     };
     HostEnv::new()
         .bind("npoints", Value::Int(points.len() as i64))
@@ -372,7 +368,7 @@ pub fn vmscope_host_env(slide: &Slide, subsample: i64, num_packets: i64) -> Host
         .bind("height", Value::Int(slide.height as i64))
         .bind("width", Value::Int(slide.width as i64))
         .bind("subsample", Value::Int(subsample))
-        .bind("pixels", Value::Array(Rc::new(RefCell::new(pixels))))
+        .bind("pixels", Value::array(pixels))
         .bind("num_packets", Value::Int(num_packets))
 }
 

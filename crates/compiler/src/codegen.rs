@@ -465,8 +465,9 @@ fn collect_expr_vars(e: &Expr, out: &mut Vec<String>) {
 /// and the threaded DataCutter executor in `cgp-core`.
 pub struct FilterStepper<'p> {
     pub plan: &'p FilterPlan,
-    /// Persistent per-filter state (prologue results, reduction copies).
-    pub state: Vec<HashMap<String, Value>>,
+    /// Persistent per-filter state (prologue results, reduction copies),
+    /// built on first use: a copy that runs one filter builds one state.
+    state: Vec<Option<HashMap<String, Value>>>,
     /// Scalar extern config visible to every filter.
     config: HashMap<String, Value>,
     /// Full host bindings (arrays included) — only the source filter sees
@@ -480,7 +481,8 @@ pub struct FilterStepper<'p> {
 }
 
 impl<'p> FilterStepper<'p> {
-    /// Initialize per-filter state by running the replicated prologue.
+    /// Bind the host's scalar config. Each filter's state comes from the
+    /// replicated prologue, run when the filter is first used.
     pub fn new(plan: &'p FilterPlan, host: &HostEnv) -> CompileResult<Self> {
         let tp = &plan.np.typed;
         let mut config = HashMap::new();
@@ -492,29 +494,34 @@ impl<'p> FilterStepper<'p> {
                 config.insert(e.name.clone(), v.clone());
             }
         }
-        let mut state = Vec::with_capacity(plan.m);
-        for _ in 0..plan.m {
-            // Each filter runs the prologue against the full host env (the
-            // prologue must be cheap and deterministic — documented).
+        Ok(FilterStepper {
+            plan,
+            state: vec![None; plan.m],
+            config,
+            source_env: host.values.clone(),
+            use_vm: false,
+        })
+    }
+
+    /// Filter `j`'s persistent state. The first call runs the prologue
+    /// against the full host env (the prologue must be cheap and
+    /// deterministic — documented).
+    fn state(&mut self, j: usize) -> CompileResult<&HashMap<String, Value>> {
+        if self.state[j].is_none() {
+            let plan = self.plan;
             let mut interp = Interp::new(
-                tp,
+                &plan.np.typed,
                 HostEnv {
-                    values: host.values.clone(),
+                    values: self.source_env.clone(),
                 },
             );
             let mut vars = HashMap::new();
             interp
                 .exec_stmts_with_vars(&plan.np.class, &plan.np.prologue, &mut vars)
                 .map_err(CompileError::from)?;
-            state.push(vars);
+            self.state[j] = Some(vars);
         }
-        Ok(FilterStepper {
-            plan,
-            state,
-            config,
-            source_env: host.values.clone(),
-            use_vm: false,
-        })
+        Ok(self.state[j].as_ref().expect("built above"))
     }
 
     /// Select the packet-step engine: the register VM (`true`) or the
@@ -528,7 +535,7 @@ impl<'p> FilterStepper<'p> {
 
     /// Evaluate the pipelined loop's domain and packet count using filter
     /// 0's post-prologue state.
-    pub fn loop_bounds(&self) -> CompileResult<((i64, i64), i64)> {
+    pub fn loop_bounds(&mut self) -> CompileResult<((i64, i64), i64)> {
         let plan = self.plan;
         let tp = &plan.np.typed;
         let mut interp = Interp::new(
@@ -537,7 +544,7 @@ impl<'p> FilterStepper<'p> {
                 values: self.source_env.clone(),
             },
         );
-        let mut vars = self.state[0].clone();
+        let mut vars = self.state(0)?.clone();
         let mut ids = NodeIdGen::above(&tp.program);
         let probe = vec![
             Stmt::new(
@@ -613,7 +620,7 @@ impl<'p> FilterStepper<'p> {
         let mut interp = Interp::new(tp, HostEnv { values: globals });
 
         // Packet-local bindings: persistent state + unpacked buffer.
-        let mut vars: HashMap<String, Value> = self.state[j].clone();
+        let mut vars: HashMap<String, Value> = self.state(j)?.clone();
         let mut selection: Option<Vec<i64>> = None;
         if j > 0 {
             let input = input
@@ -762,7 +769,7 @@ impl<'p> FilterStepper<'p> {
         };
         let mut vm = Vm::new(&lowered.prog, HostEnv { values: globals });
 
-        let mut vars: HashMap<String, Value> = self.state[j].clone();
+        let mut vars: HashMap<String, Value> = self.state(j)?.clone();
         let mut selection: Option<Vec<i64>> = None;
         if j > 0 {
             let input = input
@@ -830,13 +837,13 @@ impl<'p> FilterStepper<'p> {
 
     /// Filter `j`'s reduction-variable bindings (for shipping at
     /// end-of-work in distributed executions).
-    pub fn reduction_state(&self, j: usize) -> HashMap<String, Value> {
-        self.plan
-            .analysis
-            .reduction_roots
+    pub fn reduction_state(&mut self, j: usize) -> CompileResult<HashMap<String, Value>> {
+        let roots = &self.plan.analysis.reduction_roots;
+        let state = self.state(j)?;
+        Ok(roots
             .iter()
-            .filter_map(|r| self.state[j].get(r).map(|v| (r.clone(), v.clone())))
-            .collect()
+            .filter_map(|r| state.get(r).map(|v| (r.clone(), v.clone())))
+            .collect())
     }
 
     /// Merge an upstream filter's reduction partials into filter `j`'s
@@ -853,8 +860,9 @@ impl<'p> FilterStepper<'p> {
                 values: self.config.clone(),
             },
         );
+        let state = self.state(j)?;
         for (root, part) in partial {
-            let Some(Value::Object(own)) = self.state[j].get(root).cloned() else {
+            let Some(Value::Object(own)) = state.get(root).cloned() else {
                 continue;
             };
             let class = own.borrow().class.clone();
@@ -875,7 +883,7 @@ impl<'p> FilterStepper<'p> {
                 values: self.config.clone(),
             },
         );
-        let mut vars = self.state[j].clone();
+        let mut vars = self.state(j)?.clone();
         let epi = self.plan.np.epilogue.clone();
         interp
             .exec_stmts_with_vars(&self.plan.np.class, &epi, &mut vars)
@@ -897,19 +905,19 @@ impl<'p> FilterStepper<'p> {
         let last = plan.m - 1;
         let red_roots: Vec<String> = plan.analysis.reduction_roots.iter().cloned().collect();
         for root in &red_roots {
-            let Some(Value::Object(final_obj)) = self.state[last].get(root).cloned() else {
+            let Some(Value::Object(final_obj)) = self.state(last)?.get(root).cloned() else {
                 continue;
             };
             let class = final_obj.borrow().class.clone();
             for j in 0..last {
-                if let Some(partial) = self.state[j].get(root).cloned() {
+                if let Some(partial) = self.state(j)?.get(root).cloned() {
                     interp
                         .call_method(&class, "reduce", Some(final_obj.clone()), vec![partial])
                         .map_err(CompileError::from)?;
                 }
             }
         }
-        let mut vars = self.state[last].clone();
+        let mut vars = self.state(last)?.clone();
         let epi = plan.np.epilogue.clone();
         interp
             .exec_stmts_with_vars(&plan.np.class, &epi, &mut vars)
@@ -998,6 +1006,11 @@ fn select_probe(var: &str, domain: &Expr, cond: &Expr) -> Vec<Stmt> {
 /// sequential interpreter run of the same program).
 pub fn run_plan_sequential(plan: &FilterPlan, host: &HostEnv) -> CompileResult<Vec<String>> {
     let mut stepper = FilterStepper::new(plan, host)?;
+    // Build every filter's state before any packet runs, in filter order,
+    // so a prologue never observes an earlier filter's steps.
+    for j in 0..plan.m {
+        stepper.state(j)?;
+    }
     let ((dlo, dhi), n_packets) = stepper.loop_bounds()?;
     for (lo, hi) in split_domain(dlo, dhi, n_packets as usize) {
         let mut buf: Option<Vec<u8>> = None;
@@ -1090,11 +1103,11 @@ mod tests {
     "#;
 
     fn base_host(n: i64, num_packets: i64) -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+        let data = Value::array(
             (0..n)
                 .map(|i| Value::Double((i * 7 % 100) as f64))
                 .collect(),
-        )));
+        );
         HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(num_packets))
@@ -1213,6 +1226,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_filter_builds_its_state_on_first_use() {
+        // The prologue bumps a host counter, so each run of it shows.
+        let src = BASE
+            .replace("extern int n;", "extern int n; extern int[] hits;")
+            .replace("Acc acc = new Acc();", "Acc acc = new Acc(); hits[0] += 1;");
+        let plan = make_plan(&src, 3, DecompStyle::Default);
+        let hits = Value::new_array(1, Value::Int(0));
+        let host = base_host(64, 4).bind("hits", hits.clone());
+        let count = || match &hits {
+            Value::Array(a) => a.borrow().get(0).and_then(Value::as_i64),
+            _ => None,
+        };
+        let mut stepper = FilterStepper::new(&plan, &host).unwrap();
+        assert_eq!(count(), Some(0), "construction runs no prologue");
+        stepper.loop_bounds().unwrap();
+        let buf = stepper.step(0, (0, 15), None).unwrap();
+        assert_eq!(
+            count(),
+            Some(1),
+            "the source filter built only its own state"
+        );
+        stepper.step(1, (0, 15), buf.as_deref()).unwrap();
+        let buf = stepper.step(0, (16, 31), None).unwrap();
+        stepper.step(1, (16, 31), buf.as_deref()).unwrap();
+        assert_eq!(count(), Some(2), "filter 1 built its state once");
+
+        // The sequential runner still builds all three filters' states.
+        let out = run_plan_sequential(&plan, &host).unwrap();
+        assert_eq!(count(), Some(2 + 3));
+        assert_eq!(out, oracle(&src, &host));
+    }
+
     /// [`run_plan_sequential`] with the stepper flipped onto the VM.
     fn run_plan_sequential_vm(plan: &FilterPlan, host: &HostEnv) -> CompileResult<Vec<String>> {
         let mut stepper = FilterStepper::new(plan, host)?.with_vm(true);
@@ -1305,11 +1351,11 @@ mod tests {
             }
         "#;
         let n = 90;
-        let xs = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+        let xs = Value::array(
             (0..n)
                 .map(|i| Value::Double((i % 13) as f64 * 0.31))
                 .collect(),
-        )));
+        );
         let host = HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(6))

@@ -298,9 +298,7 @@ mod tests {
     "#;
 
     fn host(n: i64) -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-            (0..n).map(|i| Value::Double((i % 97) as f64)).collect(),
-        )));
+        let data = Value::array((0..n).map(|i| Value::Double((i % 97) as f64)).collect());
         HostEnv::new()
             .bind("n", Value::Int(n))
             .bind("num_packets", Value::Int(8))

@@ -25,7 +25,7 @@ use crate::error::{CompileError, CompileResult};
 use crate::normalize::NormalizedPipeline;
 use crate::place::{Place, Sectioning};
 use cgp_lang::ast::Type;
-use cgp_lang::value::{ObjectVal, Value};
+use cgp_lang::value::{ArrayVal, ObjectVal, Value};
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -377,7 +377,7 @@ enum Source<'a> {
     Binding(&'a Value),
     /// A sectioned root's array, borrowed once for the packet, and the
     /// element indices to send.
-    Array(Ref<'a, Vec<Value>>, Vec<i64>),
+    Array(Ref<'a, ArrayVal>, Vec<i64>),
     /// A sectioned entry with no elements in this packet.
     Empty,
 }
@@ -471,7 +471,7 @@ impl<'a> Column<'a> {
 /// Encode element `a[ix[k]]` into each position with `encode`.
 #[inline(always)]
 fn gather<'b>(
-    a: &[Value],
+    a: &ArrayVal,
     ix: &[i64],
     positions: impl Iterator<Item = &'b mut [u8]>,
     p: &Place,
@@ -525,7 +525,7 @@ enum Sink {
     /// An unsectioned binding, stored by name.
     Binding,
     /// A plain array root and the slot of each element.
-    Array(Rc<RefCell<Vec<Value>>>, Vec<i64>),
+    Array(Rc<RefCell<ArrayVal>>, Vec<i64>),
     /// A field path: per element, the object holding the last field
     /// (shared by every field of the root at that slot), and that field.
     Fields(Vec<Rc<RefCell<ObjectVal>>>, String),
@@ -538,18 +538,67 @@ struct Dest<'a> {
     sink: Sink,
 }
 
+/// What one packet carries of a sectioned root, over all of its entries:
+/// the least and greatest element index, and the distinct first fields
+/// its elements' objects receive.
+struct RootShape<'a> {
+    lo: i64,
+    hi: i64,
+    fields: Vec<&'a str>,
+}
+
+impl RootShape<'_> {
+    /// The root's array: `max(hi + 1, packet_len)` logical slots, of
+    /// which only the window `[lo, hi]` is stored.
+    fn array(&self, packet_len: usize) -> Value {
+        let end = usize::try_from(self.hi).map_or(0, |t| t + 1);
+        let start = usize::try_from(self.lo).unwrap_or(0);
+        let a = ArrayVal::windowed(end.max(packet_len), start..end);
+        Value::Array(Rc::new(RefCell::new(a)))
+    }
+}
+
+/// The shape of every sectioned root in a packet, from each entry and its
+/// element index list (`None` when unsectioned).
+fn root_shapes<'a, 'b>(
+    entries: impl Iterator<Item = (&'a PackEntry, &'b Option<Vec<i64>>)>,
+) -> HashMap<&'a str, RootShape<'a>> {
+    let mut shapes: HashMap<&str, RootShape> = HashMap::new();
+    for (e, ix) in entries {
+        let Some(ix) = ix.as_deref().filter(|ix| !ix.is_empty()) else {
+            continue;
+        };
+        let (lo, hi) = ix
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(l, h), &i| (l.min(i), h.max(i)));
+        let shape = shapes.entry(&e.place.root).or_insert(RootShape {
+            lo,
+            hi,
+            fields: Vec::new(),
+        });
+        shape.lo = shape.lo.min(lo);
+        shape.hi = shape.hi.max(hi);
+        if let Some(f) = e.place.fields.first() {
+            if !shape.fields.contains(&f.as_str()) {
+                shape.fields.push(f);
+            }
+        }
+    }
+    shapes
+}
+
 impl<'a> Dest<'a> {
     /// Resolve `entry`'s destination in `vars`, allocating its root array
-    /// (`max(top + 1, packet_len)` slots, all Null) unless an earlier
-    /// entry did. `ix` is its element index list (`None` when
-    /// unsectioned), of which at most `rows` elements are on the wire. An
-    /// entry with no elements resolves to nothing and leaves its binding
-    /// absent.
+    /// from the root's `shape` unless an earlier entry did. `ix` is its
+    /// element index list (`None` when unsectioned), of which at most
+    /// `rows` elements are on the wire. An entry with no elements resolves
+    /// to nothing and leaves its binding absent.
     fn resolve(
         vars: &mut HashMap<String, Value>,
         entry: &'a PackEntry,
         ix: Option<Vec<i64>>,
         rows: usize,
+        shapes: &HashMap<&str, RootShape>,
         packet_len: usize,
     ) -> CompileResult<Option<Self>> {
         let p = &entry.place;
@@ -564,11 +613,10 @@ impl<'a> Dest<'a> {
         if len == 0 {
             return Ok(None);
         }
-        let top = ix.iter().copied().max().expect("non-empty");
-        let alloc_len = usize::try_from(top).map_or(0, |t| t + 1).max(packet_len);
+        let shape = &shapes[p.root.as_str()];
         let root = vars
             .entry(p.root.clone())
-            .or_insert_with(|| Value::new_array(alloc_len, Value::Null));
+            .or_insert_with(|| shape.array(packet_len));
         let Value::Array(a) = root else {
             return Err(CompileError::new(format!("`{}` is not an array", p.root)));
         };
@@ -580,7 +628,8 @@ impl<'a> Dest<'a> {
                     .iter()
                     .map(|&i| {
                         let slot = usize::try_from(i).ok().and_then(|i| a.get_mut(i));
-                        leaf_object(slot.ok_or_else(|| out_of_range(i))?, path)
+                        let slot = slot.ok_or_else(|| out_of_range(i))?;
+                        leaf_object(slot, path, shape.fields.len())
                     })
                     .collect::<CompileResult<_>>()?;
                 Sink::Fields(objs, leaf.clone())
@@ -631,7 +680,7 @@ impl<'a> Dest<'a> {
 /// Store each position's element, decoded, into slot `ix[k]` of `a`.
 #[inline(always)]
 fn scatter<'b>(
-    a: &mut [Value],
+    a: &mut ArrayVal,
     ix: &[i64],
     positions: impl Iterator<Item = &'b [u8]>,
     decode: impl Fn(&[u8]) -> Value,
@@ -653,10 +702,15 @@ fn out_of_range(i: i64) -> CompileError {
 
 /// The object below `slot` that holds the field after `path`, creating
 /// `__packed` objects where none exist (the receiving filter starts from
-/// an empty frame).
-fn leaf_object(slot: &mut Value, path: &[String]) -> CompileResult<Rc<RefCell<ObjectVal>>> {
+/// an empty frame). An object made at `slot` has room for `fields`
+/// fields.
+fn leaf_object(
+    slot: &mut Value,
+    path: &[String],
+    fields: usize,
+) -> CompileResult<Rc<RefCell<ObjectVal>>> {
     if !matches!(slot, Value::Object(_)) {
-        *slot = Value::new_object("__packed", HashMap::new());
+        *slot = Value::new_object("__packed", HashMap::with_capacity(fields));
     }
     let Value::Object(o) = slot else {
         unreachable!("just made an object")
@@ -689,7 +743,7 @@ fn store_binding(vars: &mut HashMap<String, Value>, p: &Place, v: Value) -> Comp
         }
         Some((leaf, path)) => {
             let root = vars.entry(p.root.clone()).or_insert(Value::Null);
-            let obj = leaf_object(root, path)?;
+            let obj = leaf_object(root, path, 1)?;
             obj.borrow_mut().fields.insert(leaf.clone(), v);
         }
     }
@@ -833,10 +887,10 @@ pub struct Unpacked {
 
 /// Unpack a buffer produced by [`pack`] with the same layout.
 ///
-/// Each entry's index list, allocation length and destination are
-/// resolved once per packet, before its elements are read, so the work is
-/// linear in the section plus one `max(top + 1, packet_len)`-slot array
-/// per sectioned root.
+/// Each entry's index list and destination, and each sectioned root's
+/// array, are resolved once per packet, before any element is read. A
+/// root's array stores only the window from the least to the greatest
+/// index any entry sends, so the work is linear in the section.
 pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResult<Unpacked> {
     let mut pos = 0usize;
     let lo = read_i64(buf, &mut pos)?;
@@ -874,24 +928,28 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
         Ok(Some(section_indices(slo, shi, stride)))
     };
 
-    let inst_indices = (layout.instance_wise.iter())
+    // Every entry's index list, and each root's shape over all of them,
+    // before any destination is resolved.
+    let mut indices = (layout.entries())
         .map(|e| indices_for(&e.place))
         .collect::<CompileResult<Vec<_>>>()?;
+    let shapes = root_shapes(layout.entries().zip(&indices));
+    let fw_indices = indices.split_off(layout.instance_wise.len());
+
     let rows = (read_i64(buf, &mut pos)? as usize).max(1);
-    let mut dests = Vec::with_capacity(inst_indices.len());
-    for (e, ix) in layout.instance_wise.iter().zip(inst_indices) {
-        dests.extend(Dest::resolve(&mut vars, e, ix, rows, packet_len)?);
+    let mut dests = Vec::with_capacity(indices.len());
+    for (e, ix) in layout.instance_wise.iter().zip(indices) {
+        dests.extend(Dest::resolve(&mut vars, e, ix, rows, &shapes, packet_len)?);
     }
     unpack_section(&mut vars, &dests, buf, &mut pos)?;
 
-    for e in &layout.field_wise {
+    for (e, ix) in layout.field_wise.iter().zip(fw_indices) {
         // Each entry is preceded by its own count; -1 marks a scalar.
         let n = read_i64(buf, &mut pos)?;
         let ix = if n < 0 {
             None
         } else {
-            let ix = indices_for(&e.place)?
-                .ok_or_else(|| CompileError::new("sectioned payload for scalar place"))?;
+            let ix = ix.ok_or_else(|| CompileError::new("sectioned payload for scalar place"))?;
             if ix.len() != n as usize {
                 return Err(CompileError::new(format!(
                     "count mismatch unpacking {}: wire {} vs layout {}",
@@ -902,7 +960,7 @@ pub fn unpack(layout: &PackLayout, env: &RuntimeEnv, buf: &[u8]) -> CompileResul
             }
             Some(ix)
         };
-        let dest = Dest::resolve(&mut vars, e, ix, n.max(0) as usize, packet_len)?;
+        let dest = Dest::resolve(&mut vars, e, ix, n.max(0) as usize, &shapes, packet_len)?;
         unpack_section(&mut vars, dest.as_slice(), buf, &mut pos)?;
     }
 
@@ -942,15 +1000,11 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "xs".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..4).map(|i| Value::Double(i as f64 * 1.5)).collect(),
-            ))),
+            Value::array((0..4).map(|i| Value::Double(i as f64 * 1.5)).collect()),
         );
         vars.insert(
             "ys".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..4).map(Value::Int).collect(),
-            ))),
+            Value::array((0..4).map(Value::Int).collect()),
         );
         let env = RuntimeEnv::for_packet("pkt", 0, 3);
         let buf = pack(&layout, &vars, &env, (0, 3), None).unwrap();
@@ -1002,11 +1056,7 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "tri".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(vec![
-                mk_obj(1.0),
-                mk_obj(2.0),
-                mk_obj(3.0),
-            ]))),
+            Value::array(vec![mk_obj(1.0), mk_obj(2.0), mk_obj(3.0)]),
         );
         let env = RuntimeEnv::for_packet("pkt", 0, 2);
         let buf = pack(&layout, &vars, &env, (0, 2), None).unwrap();
@@ -1039,9 +1089,7 @@ mod tests {
         let mut vars = HashMap::new();
         vars.insert(
             "v__x".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..8).map(|i| Value::Double(i as f64)).collect(),
-            ))),
+            Value::array((0..8).map(|i| Value::Double(i as f64)).collect()),
         );
         let env = RuntimeEnv::for_packet("pkt", 10, 17);
         let sel = vec![11i64, 13, 16];
@@ -1051,10 +1099,10 @@ mod tests {
         if let Value::Array(a) = &un.vars["v__x"] {
             let a = a.borrow();
             assert_eq!(a.len(), 8);
-            assert!(a[1].deep_eq(&Value::Double(1.0)));
-            assert!(a[3].deep_eq(&Value::Double(3.0)));
-            assert!(a[6].deep_eq(&Value::Double(6.0)));
-            assert!(matches!(a[0], Value::Null)); // untouched slot
+            assert!(a.get(1).unwrap().deep_eq(&Value::Double(1.0)));
+            assert!(a.get(3).unwrap().deep_eq(&Value::Double(3.0)));
+            assert!(a.get(6).unwrap().deep_eq(&Value::Double(6.0)));
+            assert!(matches!(a.get(0), Some(Value::Null))); // untouched slot
         } else {
             panic!("not an array");
         }
@@ -1067,6 +1115,33 @@ mod tests {
             pack(&layout, &vars, &env, (10, 17), None).unwrap()
         };
         assert!(buf.len() < dense_buf.len());
+    }
+
+    #[test]
+    fn a_roots_window_spans_every_entry_for_it() {
+        // `xs[pkt]` next, `xs[pkt + 2]` later: the second entry reaches
+        // two slots past the first's top, and both land.
+        let shifted = |k| SymExpr::sym("pkt.lo").add(&SymExpr::konst(k));
+        let place = |k| {
+            let hi = SymExpr::sym("pkt.hi").add(&SymExpr::konst(k));
+            Place::sliced("xs", Section::dense(shifted(k), hi))
+        };
+        let layout = PackLayout {
+            instance_wise: vec![entry(place(0), 1, ScalarKind::F64)],
+            field_wise: vec![entry(place(2), 2, ScalarKind::F64)],
+            ..Default::default()
+        };
+        let xs = Value::array((0..12).map(|i| Value::Double(i as f64)).collect());
+        let vars = HashMap::from([("xs".to_string(), xs)]);
+        let env = RuntimeEnv::for_packet("pkt", 4, 7);
+        let buf = pack(&layout, &vars, &env, (4, 7), None).unwrap();
+        let un = unpack(&layout, &env, &buf).unwrap();
+        let Value::Array(a) = &un.vars["xs"] else {
+            panic!("not an array");
+        };
+        let got: Vec<_> = a.borrow().iter().map(Value::as_f64).collect();
+        let want: Vec<_> = (0..10).map(|i| (i >= 4).then_some(i as f64)).collect();
+        assert_eq!(got, want);
     }
 
     /// Place with section [0 : pkt.hi - pkt.lo] (rebased expanded array).

@@ -273,9 +273,7 @@ fn pack_unpack_roundtrip() {
         let mut vars: HashMap<String, Value> = HashMap::new();
         vars.insert(
             "xs".into(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                case.doubles.iter().map(|d| Value::Double(*d)).collect(),
-            ))),
+            Value::array(case.doubles.iter().map(|d| Value::Double(*d)).collect()),
         );
         for (name, v) in &case.scalars {
             vars.insert(name.clone(), Value::Int(*v));
@@ -319,9 +317,7 @@ fn filtered_pack_roundtrip() {
         };
         let vars: HashMap<String, Value> = [(
             "v".to_string(),
-            Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
-                (0..len).map(|i| Value::Double(i as f64 * 1.25)).collect(),
-            ))),
+            Value::array((0..len).map(|i| Value::Double(i as f64 * 1.25)).collect()),
         )]
         .into_iter()
         .collect();
@@ -346,13 +342,11 @@ fn filtered_pack_roundtrip() {
                 panic!("not array")
             };
             let arr = arr.borrow();
-            for i in 0..len {
-                if mask[i] {
-                    assert!(
-                        arr[i].deep_eq(&Value::Double(i as f64 * 1.25)),
-                        "case {case_no}"
-                    );
-                }
+            for (i, _) in mask.iter().enumerate().take(len).filter(|(_, &m)| m) {
+                assert!(
+                    arr.get(i).unwrap().deep_eq(&Value::Double(i as f64 * 1.25)),
+                    "case {case_no}"
+                );
             }
         }
         // volume proportional to selection
@@ -431,7 +425,7 @@ fn random_scalar(rng: &mut SmallRng, kind: ScalarKind) -> Value {
 }
 
 fn shared_array(items: Vec<Value>) -> Value {
-    Value::Array(std::rc::Rc::new(std::cell::RefCell::new(items)))
+    Value::array(items)
 }
 
 /// 2–4 plain roots of mixed kinds and shapes, the field-path root `obj`
@@ -564,7 +558,12 @@ fn check_unpacked_array(
         (top + 1).max(packet_len),
         "case {case_no}: len of `{name}`"
     );
-    for (j, v) in a.iter().enumerate() {
+    assert!(
+        a.get(a.len()).is_none(),
+        "case {case_no}: `{name}` past its len"
+    );
+    for j in 0..a.len() {
+        let v = a.get(j).unwrap();
         if slots.contains(&(j as i64)) {
             check(j, v);
         } else {
@@ -613,10 +612,10 @@ fn interleaved_codec_roundtrips_with_exact_lengths_and_null_gaps() {
                 &slots,
                 packet_len,
                 |j, v| {
+                    let want = src.get(j).unwrap();
                     assert!(
-                        v.deep_eq(&src[j]),
-                        "case {case_no}: `{name}[{j}]` {v} vs {}",
-                        src[j]
+                        v.deep_eq(want),
+                        "case {case_no}: `{name}[{j}]` {v} vs {want}"
                     );
                 },
             );
@@ -634,7 +633,7 @@ fn interleaved_codec_roundtrips_with_exact_lengths_and_null_gaps() {
             &slots,
             packet_len,
             |j, v| {
-                let (Value::Object(got), Value::Object(want)) = (v, &src[j]) else {
+                let (Value::Object(got), Value::Object(want)) = (v, src.get(j).unwrap()) else {
                     panic!("case {case_no}: `obj[{j}]` = {v}")
                 };
                 let (got, want) = (got.borrow(), want.borrow());

@@ -5,7 +5,7 @@
 //! (Per-packet data uses the compiler's typed [`cgp_compiler::packing`]
 //! layouts instead — this codec is only for whole-object state transfer.)
 
-use cgp_lang::value::{ObjectVal, Value};
+use cgp_lang::value::{ArrayVal, ObjectVal, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -66,7 +66,12 @@ enum Homogeneous {
     No,
 }
 
-fn homogeneity(a: &[Value]) -> Homogeneous {
+/// An array is homogeneous only when its window covers every slot: any
+/// slot outside it is Null.
+fn homogeneity(a: &ArrayVal) -> Homogeneous {
+    let Some(a) = a.as_dense() else {
+        return Homogeneous::No;
+    };
     let mut iter = a.iter();
     match iter.next() {
         Some(Value::Double(_)) => {
@@ -302,7 +307,7 @@ impl<'a> Reader<'a> {
                 for _ in 0..n {
                     v.push(self.value()?);
                 }
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                Ok(Value::array(v))
             }
             TAG_ARRAY_F64 => {
                 let n = self.u64()? as usize;
@@ -318,7 +323,7 @@ impl<'a> Reader<'a> {
                         )))
                     })
                     .collect();
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                Ok(Value::array(v))
             }
             TAG_ARRAY_I64 => {
                 let n = self.u64()? as usize;
@@ -328,7 +333,7 @@ impl<'a> Reader<'a> {
                     .chunks_exact(8)
                     .map(|c| Value::Int(i64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
                     .collect();
-                Ok(Value::Array(Rc::new(RefCell::new(v))))
+                Ok(Value::array(v))
             }
             TAG_OBJECT => {
                 let class = self.string()?;
@@ -399,7 +404,7 @@ mod tests {
         fields.insert("xs".to_string(), arr);
         fields.insert("n".to_string(), Value::Int(7));
         let obj = Value::new_object("Acc", fields);
-        let outer = Value::Array(Rc::new(RefCell::new(vec![obj, Value::Null])));
+        let outer = Value::array(vec![obj, Value::Null]);
         roundtrip(outer);
     }
 
@@ -418,9 +423,7 @@ mod tests {
     fn homogeneous_arrays_use_bulk_tags_and_roundtrip() {
         // f64 run (larger than one conversion chunk, exercising the
         // chunked copy).
-        let xs = Value::Array(Rc::new(RefCell::new(
-            (0..1000).map(|i| Value::Double(i as f64 * 0.5)).collect(),
-        )));
+        let xs = Value::array((0..1000).map(|i| Value::Double(i as f64 * 0.5)).collect());
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY_F64);
@@ -433,17 +436,14 @@ mod tests {
         assert!(decode_value(&buf).unwrap().deep_eq(&xs));
 
         // i64 run.
-        let ys = Value::Array(Rc::new(RefCell::new((-500..500).map(Value::Int).collect())));
+        let ys = Value::array((-500..500).map(Value::Int).collect());
         let mut buf = Vec::new();
         encode_value(&ys, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY_I64);
         assert!(decode_value(&buf).unwrap().deep_eq(&ys));
 
         // Mixed arrays keep the generic element-wise encoding.
-        let mixed = Value::Array(Rc::new(RefCell::new(vec![
-            Value::Int(1),
-            Value::Double(2.0),
-        ])));
+        let mixed = Value::array(vec![Value::Int(1), Value::Double(2.0)]);
         let mut buf = Vec::new();
         encode_value(&mixed, &mut buf);
         assert_eq!(buf[0], TAG_ARRAY);
@@ -453,28 +453,26 @@ mod tests {
 
     #[test]
     fn bulk_run_preserves_exotic_doubles() {
-        let xs = Value::Array(Rc::new(RefCell::new(vec![
+        let xs = Value::array(vec![
             Value::Double(f64::NAN),
             Value::Double(f64::INFINITY),
             Value::Double(-0.0),
             Value::Double(f64::MIN_POSITIVE),
-        ])));
+        ]);
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         let Value::Array(back) = decode_value(&buf).unwrap() else {
             panic!("not an array");
         };
         let back = back.borrow();
-        assert!(matches!(back[0], Value::Double(x) if x.is_nan()));
-        assert!(matches!(back[1], Value::Double(x) if x == f64::INFINITY));
-        assert!(matches!(back[2], Value::Double(x) if x == 0.0 && x.is_sign_negative()));
+        assert!(matches!(back.get(0), Some(&Value::Double(x)) if x.is_nan()));
+        assert!(matches!(back.get(1), Some(&Value::Double(x)) if x == f64::INFINITY));
+        assert!(matches!(back.get(2), Some(&Value::Double(x)) if x == 0.0 && x.is_sign_negative()));
     }
 
     #[test]
     fn truncated_bulk_run_errors() {
-        let xs = Value::Array(Rc::new(RefCell::new(
-            (0..10).map(|i| Value::Double(i as f64)).collect(),
-        )));
+        let xs = Value::array((0..10).map(|i| Value::Double(i as f64)).collect());
         let mut buf = Vec::new();
         encode_value(&xs, &mut buf);
         buf.truncate(buf.len() - 3);
@@ -534,16 +532,14 @@ mod tests {
         let mut fields = HashMap::new();
         fields.insert(
             "xs".to_string(),
-            Value::Array(Rc::new(RefCell::new(
-                (0..16).map(|i| Value::Double(i as f64)).collect(),
-            ))),
+            Value::array((0..16).map(|i| Value::Double(i as f64)).collect()),
         );
         fields.insert("n".to_string(), Value::Int(7));
-        let v = Value::Array(Rc::new(RefCell::new(vec![
+        let v = Value::array(vec![
             Value::new_object("Acc", fields),
             Value::Domain(1, 9),
             Value::Bool(true),
-        ])));
+        ]);
         let mut buf = Vec::new();
         encode_value(&v, &mut buf);
         assert!(decode_value(&buf).is_ok());
@@ -559,7 +555,7 @@ mod tests {
         let mut st = HashMap::new();
         st.insert(
             "a".to_string(),
-            Value::Array(Rc::new(RefCell::new((0..8).map(Value::Int).collect()))),
+            Value::array((0..8).map(Value::Int).collect()),
         );
         let buf = encode_state(&st);
         for i in 0..buf.len() {

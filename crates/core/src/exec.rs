@@ -773,7 +773,8 @@ impl PlanFilter {
                     t => return Err(CoreError::Config(format!("unknown buffer tag {t}"))),
                 }
                 if io.checkpoint_due() {
-                    let snap = encode_state(&stepper.reduction_state(j));
+                    let state = stepper.reduction_state(j).map_err(CoreError::Compile)?;
+                    let snap = encode_state(&state);
                     io.commit_checkpoint(&snap).map_err(CoreError::Runtime)?;
                 }
             }
@@ -781,7 +782,7 @@ impl PlanFilter {
 
         // End of work: ship reduction state downstream, or finish here.
         if j < self.m - 1 {
-            let state = stepper.reduction_state(j);
+            let state = stepper.reduction_state(j).map_err(CoreError::Compile)?;
             let buf = Self::tagged(io, TAG_REDUCTION, &encode_state(&state));
             io.write(buf).map_err(CoreError::Runtime)?;
         } else {
@@ -862,11 +863,11 @@ mod tests {
     "#;
 
     fn host() -> HostEnv {
-        let data = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+        let data = Value::array(
             (0..200)
                 .map(|i| Value::Double((i * 13 % 101) as f64))
                 .collect(),
-        )));
+        );
         HostEnv::new()
             .bind("n", Value::Int(200))
             .bind("num_packets", Value::Int(10))

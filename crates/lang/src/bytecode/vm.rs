@@ -255,14 +255,12 @@ impl<'p> Vm<'p> {
                         return Err(interp_err(span, "field assignment on non-object"));
                     };
                     let fname = code.name(name);
-                    let old = obj
-                        .borrow()
+                    let mut obj = obj.borrow_mut();
+                    let slot = obj
                         .fields
-                        .get(fname)
-                        .cloned()
+                        .get_mut(fname)
                         .ok_or_else(|| interp_err(span, format!("no field `{fname}`")))?;
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    obj.borrow_mut().fields.insert(fname.to_string(), nv);
+                    *slot = combine(mode, slot, widen(slot, rhs), span)?;
                 }
                 Op::LoadIndex { dst, base, idx } => {
                     let span = code.spans[pc];
@@ -272,13 +270,13 @@ impl<'p> Vm<'p> {
                         return Err(interp_err(span, "indexing non-array"));
                     };
                     let arr = arr.borrow();
-                    if i < 0 || i as usize >= arr.len() {
+                    let Some(v) = usize::try_from(i).ok().and_then(|i| arr.get(i)) else {
                         return Err(interp_err(
                             span,
                             format!("array index {i} out of bounds (len {})", arr.len()),
                         ));
-                    }
-                    let v = arr[i as usize].clone();
+                    };
+                    let v = v.clone();
                     drop(arr);
                     regs[dst as usize] = v;
                 }
@@ -295,16 +293,15 @@ impl<'p> Vm<'p> {
                     let Value::Array(arr) = b else {
                         return Err(interp_err(span, "index assignment on non-array"));
                     };
-                    let len = arr.borrow().len();
-                    if i < 0 || i as usize >= len {
+                    let mut arr = arr.borrow_mut();
+                    let len = arr.len();
+                    let Some(slot) = usize::try_from(i).ok().and_then(|i| arr.get_mut(i)) else {
                         return Err(interp_err(
                             span,
                             format!("array index {i} out of bounds (len {len})"),
                         ));
-                    }
-                    let old = arr.borrow()[i as usize].clone();
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    arr.borrow_mut()[i as usize] = nv;
+                    };
+                    *slot = combine(mode, slot, widen(slot, rhs), span)?;
                 }
                 Op::CheckInt { src } => {
                     if !matches!(regs[src as usize], Value::Int(_)) {
@@ -617,17 +614,14 @@ impl<'p> Vm<'p> {
         let name = code.name(code.slot_names[slot]);
         if code.slot_kinds[slot] != SlotKind::Global {
             if let Some(t) = this {
-                let old = t.borrow().fields.get(name).cloned();
-                if let Some(old) = old {
-                    let nv = combine(mode, &old, widen(&old, rhs), span)?;
-                    t.borrow_mut().fields.insert(name.to_string(), nv);
+                if let Some(slot) = t.borrow_mut().fields.get_mut(name) {
+                    *slot = combine(mode, slot, widen(slot, rhs), span)?;
                     return Ok(());
                 }
             }
         }
-        if let Some(old) = self.globals.get(name).cloned() {
-            let nv = combine(mode, &old, widen(&old, rhs), span)?;
-            self.globals.insert(name.to_string(), nv);
+        if let Some(slot) = self.globals.get_mut(name) {
+            *slot = combine(mode, slot, widen(slot, rhs), span)?;
             return Ok(());
         }
         Err(interp_err(
@@ -1078,7 +1072,7 @@ mod tests {
         let fresh = || {
             let arr = Value::new_array(3, Value::Double(0.0));
             if let Value::Array(a) = &arr {
-                a.borrow_mut()[1] = Value::Double(1.0);
+                *a.borrow_mut().get_mut(1).unwrap() = Value::Double(1.0);
             }
             arr
         };

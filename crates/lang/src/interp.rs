@@ -424,35 +424,30 @@ impl<'p> Interp<'p> {
             LValue::Var(name) => {
                 // Writing order mirrors lookup: local, then field of `this`,
                 // then global extern.
-                if let Some(slot) = frame.vars.get(name) {
-                    let widened = match (slot, &rhs) {
+                if let Some(slot) = frame.vars.get_mut(name) {
+                    let widened = match (&*slot, &rhs) {
                         (Value::Double(_), Value::Int(i)) => Value::Double(*i as f64),
                         _ => rhs,
                     };
-                    let nv = combine(slot, widened)?;
-                    frame.vars.insert(name.clone(), nv);
+                    *slot = combine(slot, widened)?;
                     return Ok(());
                 }
                 if let Some(this_obj) = &frame.this_obj {
-                    let has = this_obj.borrow().fields.contains_key(name);
-                    if has {
-                        let old = this_obj.borrow().fields[name].clone();
-                        let widened = match (&old, &rhs) {
+                    if let Some(slot) = this_obj.borrow_mut().fields.get_mut(name) {
+                        let widened = match (&*slot, &rhs) {
                             (Value::Double(_), Value::Int(i)) => Value::Double(*i as f64),
                             _ => rhs,
                         };
-                        let nv = combine(&old, widened)?;
-                        this_obj.borrow_mut().fields.insert(name.clone(), nv);
+                        *slot = combine(slot, widened)?;
                         return Ok(());
                     }
                 }
-                if let Some(old) = self.globals.get(name).cloned() {
-                    let widened = match (&old, &rhs) {
+                if let Some(slot) = self.globals.get_mut(name) {
+                    let widened = match (&*slot, &rhs) {
                         (Value::Double(_), Value::Int(i)) => Value::Double(*i as f64),
                         _ => rhs,
                     };
-                    let nv = combine(&old, widened)?;
-                    self.globals.insert(name.clone(), nv);
+                    *slot = combine(slot, widened)?;
                     return Ok(());
                 }
                 Err(interp_err(
@@ -465,18 +460,16 @@ impl<'p> Interp<'p> {
                 let Value::Object(obj) = b else {
                     return Err(interp_err(span, "field assignment on non-object"));
                 };
-                let old = obj
-                    .borrow()
+                let mut obj = obj.borrow_mut();
+                let slot = obj
                     .fields
-                    .get(field)
-                    .cloned()
+                    .get_mut(field)
                     .ok_or_else(|| interp_err(span, format!("no field `{field}`")))?;
-                let widened = match (&old, &rhs) {
+                let widened = match (&*slot, &rhs) {
                     (Value::Double(_), Value::Int(i)) => Value::Double(*i as f64),
                     _ => rhs,
                 };
-                let nv = combine(&old, widened)?;
-                obj.borrow_mut().fields.insert(field.clone(), nv);
+                *slot = combine(slot, widened)?;
                 Ok(())
             }
             LValue::Index(base, idx) => {
@@ -485,20 +478,19 @@ impl<'p> Interp<'p> {
                 let Value::Array(arr) = b else {
                     return Err(interp_err(span, "index assignment on non-array"));
                 };
-                let len = arr.borrow().len();
-                if i < 0 || i as usize >= len {
+                let mut arr = arr.borrow_mut();
+                let len = arr.len();
+                let Some(slot) = usize::try_from(i).ok().and_then(|i| arr.get_mut(i)) else {
                     return Err(interp_err(
                         span,
                         format!("array index {i} out of bounds (len {len})"),
                     ));
-                }
-                let old = arr.borrow()[i as usize].clone();
-                let widened = match (&old, &rhs) {
+                };
+                let widened = match (&*slot, &rhs) {
                     (Value::Double(_), Value::Int(v)) => Value::Double(*v as f64),
                     _ => rhs,
                 };
-                let nv = combine(&old, widened)?;
-                arr.borrow_mut()[i as usize] = nv;
+                *slot = combine(slot, widened)?;
                 Ok(())
             }
         }
@@ -562,13 +554,12 @@ impl<'p> Interp<'p> {
                 match b {
                     Value::Array(arr) => {
                         let arr = arr.borrow();
-                        if i < 0 || i as usize >= arr.len() {
-                            Err(interp_err(
+                        match usize::try_from(i).ok().and_then(|i| arr.get(i)) {
+                            Some(v) => Ok(v.clone()),
+                            None => Err(interp_err(
                                 e.span,
                                 format!("array index {i} out of bounds (len {})", arr.len()),
-                            ))
-                        } else {
-                            Ok(arr[i as usize].clone())
+                            )),
                         }
                     }
                     _ => Err(interp_err(e.span, "indexing non-array")),
@@ -945,7 +936,7 @@ mod tests {
         "#;
         let arr = Value::new_array(2, Value::Double(0.0));
         if let Value::Array(a) = &arr {
-            a.borrow_mut()[1] = Value::Double(1.0);
+            *a.borrow_mut().get_mut(1).unwrap() = Value::Double(1.0);
         }
         let (_, out) = run(src, HostEnv::new().bind("xs", arr));
         assert_eq!(out, vec!["3.5"]);

@@ -43,11 +43,11 @@ const SRC: &str = r#"
 
 fn host() -> HostEnv {
     let n = 10_000i64;
-    let samples = Value::Array(std::rc::Rc::new(std::cell::RefCell::new(
+    let samples = Value::array(
         (0..n)
             .map(|i| Value::Double(((i * 37 % 1000) as f64) / 1000.0))
             .collect(),
-    )));
+    );
     HostEnv::new()
         .bind("n", Value::Int(n))
         .bind("num_packets", Value::Int(16))
