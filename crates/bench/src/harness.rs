@@ -1019,7 +1019,7 @@ impl TelemetryAggregator {
                         );
                     }
                 };
-                let _ = cgp_core::datacutter::serve_telemetry_events(
+                let _ = cgp_core::datacutter::serve_telemetry(
                     listener,
                     workers,
                     Some(control),

@@ -25,13 +25,12 @@ use cgp_compiler::FilterPlan;
 use cgp_compiler::FilterStepper;
 use cgp_datacutter::{
     AutoscaleConfig, Buffer, BufferPool, CheckpointStore, FaultPlan, Filter, FilterIo,
-    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, ShmIngress,
-    StageSpec, TelemetryConfig, WorkerEndpoints,
+    FilterResult, NetTuning, Pipeline, RecoveryOptions, RetryPolicy, RunStats, StageSpec,
+    TelemetryConfig, WorkerEndpoints,
 };
 use cgp_lang::interp::{split_domain, HostEnv};
 use cgp_obs::metrics::MetricsRegistry;
 use cgp_obs::telemetry::{TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV};
-use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -61,7 +60,7 @@ pub enum NetRole {
     #[default]
     Local,
     /// Run only pipeline unit `stage`, bridging its boundary streams
-    /// over TCP ([`run_plan_worker`]).
+    /// over TCP or shm ([`run_plan_worker_io`]).
     Worker(usize),
     /// Spawn one worker process per pipeline unit on this machine and
     /// collect the last stage's output (the bench harness implements
@@ -437,49 +436,23 @@ pub fn run_plan_threaded_stats(
     Ok((std::mem::take(&mut *out), stats))
 }
 
-/// Run only pipeline unit `stage` of the plan in this process, as one
-/// worker of a distributed run ([`Pipeline::run_worker`]).
-///
-/// The caller supplies a bound `listener` for the stage's ingress link
-/// (required iff `stage > 0` — binding before the run lets launchers
-/// learn ephemeral ports first) and the downstream worker's address
-/// (required iff `stage` is not the last). All workers must be given the
-/// same program, compile options, and `widths` so they derive the same
-/// plan and topology. The returned output lines are non-empty only for
-/// the last stage's worker.
-pub fn run_plan_worker(
-    plan: Arc<FilterPlan>,
-    host_builder: HostBuilder,
-    stage: usize,
-    listener: Option<TcpListener>,
-    connect: Option<String>,
-    widths: Option<&[usize]>,
-    opts: &ExecOptions,
-) -> Result<(Vec<String>, RunStats), CoreError> {
-    run_plan_worker_io(
-        plan,
-        host_builder,
-        stage,
-        listener.map(WorkerIngress::Tcp),
-        connect,
-        widths,
-        opts,
-    )
-}
-
 /// Ingress endpoint for a worker's upstream link: a bound TCP listener
 /// (cross-host, or same-host fallback) or pre-created shared-memory
 /// rings (same-host fast path — see [`cgp_datacutter::ShmIngress`]).
-#[derive(Debug)]
-pub enum WorkerIngress {
-    Tcp(TcpListener),
-    Shm(ShmIngress),
-}
+pub use cgp_datacutter::Ingress as WorkerIngress;
 
-/// [`run_plan_worker`] with a transport-generic ingress endpoint. The
-/// egress transport is chosen by the `connect` address: `shm:<base>`
-/// attaches to the downstream worker's shared-memory rings, anything
-/// else is dialled over TCP.
+/// Run only pipeline unit `stage` of the plan in this process, as one
+/// worker of a distributed run ([`Pipeline::run_worker`]).
+///
+/// The caller supplies the stage's `ingress` endpoint (required iff
+/// `stage > 0` — binding or creating it before the run lets launchers
+/// announce it first) and the downstream worker's address (required iff
+/// `stage` is not the last). The egress transport is chosen by that
+/// address: `shm:<base>` attaches to the downstream worker's
+/// shared-memory rings, anything else is dialled over TCP. All workers
+/// must be given the same program, compile options, and `widths` so they
+/// derive the same plan and topology. The returned output lines are
+/// non-empty only for the last stage's worker.
 pub fn run_plan_worker_io(
     plan: Arc<FilterPlan>,
     host_builder: HostBuilder,
@@ -490,16 +463,10 @@ pub fn run_plan_worker_io(
     opts: &ExecOptions,
 ) -> Result<(Vec<String>, RunStats), CoreError> {
     let (pipeline, output) = build_pipeline(plan, host_builder, widths, opts)?;
-    let (listener, shm_ingress) = match ingress {
-        Some(WorkerIngress::Tcp(l)) => (Some(l), None),
-        Some(WorkerIngress::Shm(s)) => (None, Some(s)),
-        None => (None, None),
-    };
     let stats = pipeline
         .run_worker(WorkerEndpoints {
             stage,
-            listener,
-            shm_ingress,
+            ingress,
             connect,
         })
         .map_err(CoreError::Runtime)?;
@@ -998,7 +965,8 @@ mod tests {
         exec: ExecOptions,
         shm: bool,
     ) -> Vec<String> {
-        use cgp_datacutter::{DEFAULT_SHM_CAPACITY, SHM_PREFIX};
+        use cgp_datacutter::{ShmIngress, DEFAULT_SHM_CAPACITY, SHM_PREFIX};
+        use std::net::TcpListener;
         let plan = Arc::new(plan.clone());
         let (mut ingresses, connects): ([Option<WorkerIngress>; 3], [Option<String>; 3]) = if shm {
             // The downstream worker creates its rings before any
@@ -1067,7 +1035,12 @@ mod tests {
             .collect();
         let results: Vec<_> = handles
             .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
+            .enumerate()
+            .map(|(s, h)| {
+                h.join()
+                    .unwrap_or_else(|_| panic!("distributed worker for stage {s} panicked"))
+                    .unwrap_or_else(|e| panic!("distributed worker for stage {s} failed: {e:?}"))
+            })
             .collect();
         // Only the last stage's worker produces output; interior workers
         // report network traffic on their links.

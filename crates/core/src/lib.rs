@@ -53,8 +53,8 @@ pub use cgp_compiler::{
 };
 pub use error::CoreError;
 pub use exec::{
-    run_plan_threaded, run_plan_threaded_opts, run_plan_threaded_stats, run_plan_worker,
-    run_plan_worker_io, ExecOptions, HostBuilder, NetRole, WorkerIngress,
+    run_plan_threaded, run_plan_threaded_opts, run_plan_threaded_stats, run_plan_worker_io,
+    ExecOptions, HostBuilder, NetRole, WorkerIngress,
 };
 pub use sim::{
     paper_grid, paper_grid_disk, simulate_variant, VariantRun, CALIBRATION, DISK_BANDWIDTH,

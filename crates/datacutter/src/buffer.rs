@@ -17,6 +17,7 @@
 //! the executor's `StageStats`.
 
 use crate::error::{FilterError, FilterResult};
+use cgp_obs::plock;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -256,9 +257,7 @@ impl PoolShared {
             return;
         }
         v.clear();
-        let mut class = self.classes[class_of(v.capacity())]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut class = plock(&self.classes[class_of(v.capacity())]);
         if class.len() < self.max_per_class {
             class.push(v);
             drop(class);
@@ -322,9 +321,7 @@ impl BufferPool {
         // `capacity` if capacity is not a power of two; reserve fixes it
         // up in place (usually a no-op).
         let recycled = {
-            let mut c = self.shared.classes[class]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut c = plock(&self.shared.classes[class]);
             c.pop()
         };
         match recycled {
@@ -366,11 +363,7 @@ impl BufferPool {
 
     /// Idle allocations currently held (all classes; racy, for tests).
     pub fn idle(&self) -> usize {
-        self.shared
-            .classes
-            .iter()
-            .map(|c| c.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.shared.classes.iter().map(|c| plock(c).len()).sum()
     }
 }
 

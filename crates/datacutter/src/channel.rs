@@ -15,14 +15,10 @@
 //! filter copy that panics must not turn other copies' channel
 //! operations into secondary panics.
 
+use cgp_obs::plock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Poison-tolerant lock: a panicked peer thread must not cascade.
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Error returned by [`Sender::send`] when every receiver is gone (or
 /// the channel's [`CancelToken`] fired); carries the rejected message

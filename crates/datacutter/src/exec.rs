@@ -38,28 +38,20 @@ use crate::buffer::BufferPool;
 use crate::error::{ErrorKind, FilterError, FilterResult};
 use crate::fault::{FaultPlan, RetryPolicy, RunControl};
 use crate::filter::{FilterFactory, FilterIo, RecoveryCtx};
-use crate::net::{
-    egress_pump_tuned, serve_ingress_tuned, NetLinkStats, NetTuning, TelemetryClient,
-};
+use crate::link::{egress_pump, Ingress, LinkOptions};
+use crate::net::{NetLinkStats, NetTuning, TelemetryClient};
 use crate::recover::{CheckpointStore, RecoveryOptions};
-use crate::shm::{shm_egress_pump_probed, ShmIngress, SHM_PREFIX};
-use crate::stream::{logical_stream_with, Distribution};
+use crate::stream::logical_stream;
 use crate::telemetry::{
     build_sample, encode_telemetry_payload, now_us, LinkProbe, StageProbe, TelemetryConfig,
 };
 use crate::width::{AutoscaleConfig, AutoscaleReport, StageWidth, WidthController};
 use cgp_obs::metrics::{Histogram, MetricsRegistry};
+use cgp_obs::plock;
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::cell::Cell;
-use std::net::TcpListener;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
-
-/// Poison-tolerant lock: a panicked copy must not turn every other
-/// copy's bookkeeping into a second panic.
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 thread_local! {
     /// Marks filter-copy worker threads so the process panic hook stays
@@ -239,13 +231,10 @@ impl RunStats {
 pub struct WorkerEndpoints {
     /// Index of the stage this process executes.
     pub stage: usize,
-    /// Listener for the ingress link from the upstream stage's process
-    /// (for `stage > 0` workers using the TCP transport).
-    pub listener: Option<TcpListener>,
-    /// Pre-created shared-memory ingress rings (for `stage > 0` workers
-    /// on the same host as their upstream — exactly one of `listener` /
-    /// `shm_ingress` must be set for a non-first stage).
-    pub shm_ingress: Option<ShmIngress>,
+    /// Endpoint of the ingress link from the upstream stage's process
+    /// (required iff `stage > 0`): a TCP listener, or shm rings when the
+    /// upstream runs on the same host.
+    pub ingress: Option<Ingress>,
     /// Address of the downstream stage's listener (required iff `stage`
     /// is not the last stage). A `shm:<base>` address selects the
     /// shared-memory transport; anything else is dialled over TCP.
@@ -256,7 +245,6 @@ pub struct WorkerEndpoints {
 pub struct Pipeline {
     stages: Vec<StageSpec>,
     buffer_capacity: usize,
-    distribution: Distribution,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     deadline: Option<Duration>,
@@ -280,7 +268,6 @@ impl Pipeline {
         Pipeline {
             stages: Vec::new(),
             buffer_capacity: 64,
-            distribution: Distribution::RoundRobin,
             faults: None,
             retry: RetryPolicy::default(),
             deadline: None,
@@ -332,11 +319,6 @@ impl Pipeline {
         self
     }
 
-    pub fn with_distribution(mut self, d: Distribution) -> Self {
-        self.distribution = d;
-        self
-    }
-
     /// Attach a deterministic fault-injection plan (chaos testing).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         if !plan.is_empty() {
@@ -380,8 +362,7 @@ impl Pipeline {
     /// Enable the recovery layer: ack/replay delivery on every stream,
     /// checkpointing for stateful stages ([`StageSpec::stateful`]), and
     /// supervised copy restarts on panic or failure (beyond the classic
-    /// retry path, which only covers retryable errors). Requires
-    /// round-robin distribution.
+    /// retry path, which only covers retryable errors).
     pub fn with_recovery(mut self, recovery: RecoveryOptions) -> Self {
         self.recovery = recovery;
         self
@@ -421,7 +402,7 @@ impl Pipeline {
 
     /// Enable elastic copy-width autoscaling (requires telemetry with a
     /// nonzero sampling cadence — the controller ticks on the sampler's
-    /// clock — and round-robin distribution). Interior stages are
+    /// clock). Interior stages are
     /// provisioned at `max(spec width, cfg.max_copies)` transparent
     /// copies; only the active prefix receives packets, and a
     /// [`WidthController`] grows/shrinks that prefix online from the
@@ -476,32 +457,17 @@ impl Pipeline {
         if self.stages.is_empty() {
             return Err(FilterError::new("pipeline", "no stages"));
         }
-        if self.recovery.enabled && self.distribution == Distribution::Shared {
-            return Err(FilterError::new(
-                "pipeline",
-                "recovery requires round-robin distribution (a shared queue has \
-                 no deterministic packet-to-consumer mapping to replay against)",
-            ));
-        }
-        if self.autoscale.is_some() {
-            if self.distribution == Distribution::Shared {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "autoscaling requires round-robin distribution (a shared queue \
-                     has no per-copy routing for the width gate to act on)",
-                ));
-            }
-            if self
+        if self.autoscale.is_some()
+            && self
                 .telemetry
                 .as_ref()
                 .is_none_or(|t| t.sampler.every() <= Duration::ZERO)
-            {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "autoscaling requires telemetry with a nonzero sampling cadence \
-                     (the width controller ticks on the sampler's clock)",
-                ));
-            }
+        {
+            return Err(FilterError::new(
+                "pipeline",
+                "autoscaling requires telemetry with a nonzero sampling cadence \
+                 (the width controller ticks on the sampler's clock)",
+            ));
         }
         let n = self.stages.len();
         if let Some(w) = &worker {
@@ -511,21 +477,11 @@ impl Pipeline {
                     format!("worker stage {} out of range ({n} stages)", w.stage),
                 ));
             }
-            if self.distribution != Distribution::RoundRobin {
-                return Err(FilterError::new(
-                    "pipeline",
-                    "distributed execution requires round-robin distribution (the \
-                     ingress bridge reproduces the in-process packet routing, which \
-                     a shared queue does not define)",
-                ));
-            }
-            let ingresses =
-                usize::from(w.listener.is_some()) + usize::from(w.shm_ingress.is_some());
-            if (w.stage > 0 && ingresses != 1) || (w.stage == 0 && ingresses != 0) {
+            if (w.stage > 0) != w.ingress.is_some() {
                 return Err(FilterError::new(
                     "pipeline",
                     if w.stage > 0 {
-                        "a worker for a non-first stage needs exactly one ingress endpoint \
+                        "a worker for a non-first stage needs an ingress endpoint \
                          (a TCP listener or a shm ingress)"
                     } else {
                         "the first stage has no ingress link but an ingress endpoint was provided"
@@ -547,9 +503,15 @@ impl Pipeline {
         install_quiet_panic_hook();
         let t0 = Instant::now();
         let control = RunControl::new();
-        let (active_stage, listener, shm_ingress, connect) = match worker {
-            Some(w) => (Some(w.stage), w.listener, w.shm_ingress, w.connect),
-            None => (None, None, None, None),
+        let (active_stage, ingress, connect) = match worker {
+            Some(w) => (Some(w.stage), w.ingress, w.connect),
+            None => (None, None, None),
+        };
+        let stream_opts = LinkOptions {
+            control: Some(Arc::clone(&control)),
+            recovering: self.recovery.enabled,
+            same_host_rings: self.same_host_rings,
+            ..Default::default()
         };
 
         // Elastic width: interior stages are provisioned at
@@ -597,14 +559,11 @@ impl Pipeline {
         match active_stage {
             None => {
                 for s in 0..n.saturating_sub(1) {
-                    let (ws, rs) = logical_stream_with(
+                    let (ws, rs) = logical_stream(
                         eff_width[s],
                         eff_width[s + 1],
                         self.buffer_capacity,
-                        self.distribution,
-                        Some(Arc::clone(&control)),
-                        self.recovery.enabled,
-                        self.same_host_rings,
+                        &stream_opts,
                     );
                     for (i, w) in ws.into_iter().enumerate() {
                         writers_per_stage[s][i] = Some(w);
@@ -616,14 +575,11 @@ impl Pipeline {
             }
             Some(k) => {
                 if k > 0 {
-                    let (ws, rs) = logical_stream_with(
+                    let (ws, rs) = logical_stream(
                         eff_width[k - 1],
                         eff_width[k],
                         self.buffer_capacity,
-                        self.distribution,
-                        Some(Arc::clone(&control)),
-                        self.recovery.enabled,
-                        self.same_host_rings,
+                        &stream_opts,
                     );
                     ingress_writers = ws;
                     for (i, r) in rs.into_iter().enumerate() {
@@ -632,15 +588,8 @@ impl Pipeline {
                 }
                 if k < n - 1 {
                     for slot in writers_per_stage[k].iter_mut().take(eff_width[k]) {
-                        let (mut ws, mut rs) = logical_stream_with(
-                            1,
-                            1,
-                            self.buffer_capacity,
-                            self.distribution,
-                            Some(Arc::clone(&control)),
-                            self.recovery.enabled,
-                            self.same_host_rings,
-                        );
+                        let (mut ws, mut rs) =
+                            logical_stream(1, 1, self.buffer_capacity, &stream_opts);
                         *slot = ws.pop();
                         egress_readers.push(rs.pop().expect("1→1 stream"));
                     }
@@ -678,14 +627,8 @@ impl Pipeline {
         // beyond an `Option` check.
         let probes: Vec<Option<Arc<StageProbe>>> = (0..n)
             .map(|s| {
-                (self.telemetry.is_some() && active_stage.is_none_or(|k| k == s)).then(|| {
-                    StageProbe::new(
-                        self.stages[s].name.clone(),
-                        eff_width[s],
-                        s == n - 1,
-                        self.distribution == Distribution::Shared,
-                    )
-                })
+                (self.telemetry.is_some() && active_stage.is_none_or(|k| k == s))
+                    .then(|| StageProbe::new(self.stages[s].name.clone(), eff_width[s], s == n - 1))
             })
             .collect();
         // Busy time carried over from a previous incarnation of this
@@ -741,8 +684,14 @@ impl Pipeline {
                 .find(|(l, _)| *l == link)
                 .map(|(_, p)| Arc::clone(p))
         };
-        let ingress_probe = active_stage.and_then(|k| link_probe(k as u32));
-        let egress_probe = active_stage.and_then(|k| link_probe((k + 1) as u32));
+        let net_opts = |link: usize| LinkOptions {
+            control: Some(Arc::clone(&control)),
+            probe: link_probe(link as u32),
+            tuning: self.net_tuning,
+            ..Default::default()
+        };
+        let ingress_opts = active_stage.map(net_opts).unwrap_or_default();
+        let egress_opts = active_stage.map(|k| net_opts(k + 1)).unwrap_or_default();
 
         // Spawn every copy. Trace tids number filter copies globally
         // (stage by stage), one timeline row per copy.
@@ -791,9 +740,7 @@ impl Pipeline {
         };
         // Network bridge threads participate in the same completion
         // count, so the watchdog covers a wedged socket too.
-        let net_threads = usize::from(listener.is_some())
-            + usize::from(shm_ingress.is_some())
-            + egress_readers.len();
+        let net_threads = usize::from(ingress.is_some()) + egress_readers.len();
         // (remaining threads, condvar) — workers count down, the watchdog
         // waits with a timeout.
         let done = Arc::new((Mutex::new(total_copies + net_threads), Condvar::new()));
@@ -894,55 +841,19 @@ impl Pipeline {
                     }
                 });
             }
-            // Ingress bridge: accept one connection per upstream producer
-            // copy and replay them onto the local ingress stream.
-            if let Some(listener) = listener {
-                let k = active_stage.expect("listener implies worker mode");
+            // Ingress bridge: one connection or ring per upstream producer
+            // copy, replayed onto the local ingress stream.
+            if let Some(ingress) = ingress {
+                let k = active_stage.expect("ingress implies worker mode");
                 let writers = std::mem::take(&mut ingress_writers);
-                let control = Arc::clone(&control);
                 let errors = Arc::clone(&errors);
                 let done = Arc::clone(&done);
                 let net_stats = Arc::clone(&net_stats);
-                let probe = ingress_probe.clone();
-                let tuning = self.net_tuning;
+                let opts = &ingress_opts;
                 scope.spawn(move || {
-                    match serve_ingress_tuned(
-                        listener,
-                        k as u32,
-                        writers,
-                        Some(Arc::clone(&control)),
-                        probe,
-                        tuning,
-                    ) {
+                    match ingress.serve(k as u32, writers, opts) {
                         Ok(st) => plock(&net_stats).push((k as u32, st)),
-                        // serve_ingress has already cancelled the run and
-                        // closed its local writers.
-                        Err(e) => plock(&errors).push(e),
-                    }
-                    countdown(&done);
-                });
-            }
-            // Same-host ingress: bridge the pre-created shm rings onto
-            // the local ingress stream (one reader thread per ring).
-            if let Some(shm) = shm_ingress {
-                let k = active_stage.expect("shm ingress implies worker mode");
-                let writers = std::mem::take(&mut ingress_writers);
-                let control = Arc::clone(&control);
-                let errors = Arc::clone(&errors);
-                let done = Arc::clone(&done);
-                let net_stats = Arc::clone(&net_stats);
-                let probe = ingress_probe.clone();
-                let tuning = self.net_tuning;
-                scope.spawn(move || {
-                    match shm.serve_tuned(
-                        k as u32,
-                        writers,
-                        Some(Arc::clone(&control)),
-                        probe,
-                        tuning,
-                    ) {
-                        Ok(st) => plock(&net_stats).push((k as u32, st)),
-                        // serve_probed has already cancelled the run and
+                        // The serve loop has already cancelled the run and
                         // closed its local writers.
                         Err(e) => plock(&errors).push(e),
                     }
@@ -960,30 +871,9 @@ impl Pipeline {
                 let done = Arc::clone(&done);
                 let net_stats = Arc::clone(&net_stats);
                 reader.set_batch(self.batch);
-                let probe = egress_probe.clone();
-                let tuning = self.net_tuning;
+                let opts = &egress_opts;
                 scope.spawn(move || {
-                    let pumped = if let Some(base) = addr.strip_prefix(SHM_PREFIX) {
-                        shm_egress_pump_probed(
-                            reader,
-                            base,
-                            (k + 1) as u32,
-                            c as u32,
-                            Some(Arc::clone(&control)),
-                            probe,
-                        )
-                    } else {
-                        egress_pump_tuned(
-                            reader,
-                            &addr,
-                            (k + 1) as u32,
-                            c as u32,
-                            Some(Arc::clone(&control)),
-                            probe,
-                            tuning,
-                        )
-                    };
-                    match pumped {
+                    match egress_pump(reader, &addr, (k + 1) as u32, c as u32, opts) {
                         Ok(st) => plock(&net_stats).push(((k + 1) as u32, st)),
                         Err(e) => {
                             // Wake the (possibly blocked) local producer.
@@ -1848,16 +1738,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(err.message.contains("telemetry"), "{err}");
-        let err = Pipeline::new()
-            .with_distribution(Distribution::Shared)
-            .with_telemetry(TelemetryConfig::new(sampler_ms(1), "local"))
-            .with_autoscale(AutoscaleConfig::default())
-            .add_stage(StageSpec::new("source", 1, source(10)))
-            .add_stage(StageSpec::new("work", 1, spin_work(0)))
-            .add_stage(StageSpec::new("sum", 1, source(0)))
-            .run()
-            .unwrap_err();
-        assert!(err.message.contains("round-robin"), "{err}");
     }
 
     #[test]
@@ -2048,17 +1928,6 @@ mod tests {
             err.message.contains("no restore support"),
             "unexpected error: {err}"
         );
-    }
-
-    #[test]
-    fn recovery_rejects_shared_distribution() {
-        let err = Pipeline::new()
-            .with_distribution(Distribution::Shared)
-            .with_recovery(crate::recover::RecoveryOptions::on())
-            .add_stage(StageSpec::new("source", 1, source(1)))
-            .run()
-            .unwrap_err();
-        assert!(err.message.contains("round-robin"));
     }
 
     #[test]

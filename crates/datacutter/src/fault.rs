@@ -26,6 +26,7 @@
 //! replays identically under the same seed.
 
 use crate::error::{FilterError, FilterResult};
+use cgp_obs::plock;
 use cgp_obs::rng::SmallRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -491,7 +492,7 @@ impl RunControl {
     /// Cancel the run, recording why (first reason wins); wakes every
     /// blocked stream operation.
     pub fn cancel(&self, reason: impl Into<String>) {
-        let mut r = self.reason.lock().unwrap_or_else(|e| e.into_inner());
+        let mut r = plock(&self.reason);
         if r.is_none() {
             *r = Some(reason.into());
         }
@@ -501,10 +502,7 @@ impl RunControl {
     }
 
     pub fn reason(&self) -> Option<String> {
-        self.reason
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        plock(&self.reason).clone()
     }
 
     /// Bump the global progress counter (one successful packet send or

@@ -41,6 +41,7 @@ pub mod error;
 pub mod exec;
 pub mod fault;
 pub mod filter;
+pub mod link;
 pub mod net;
 pub mod placement;
 pub mod recover;
@@ -58,21 +59,20 @@ pub use error::{ErrorKind, FilterError, FilterResult};
 pub use exec::{Pipeline, RunStats, StageSpec, StageStats, WorkerEndpoints};
 pub use fault::{FaultAction, FaultPlan, FaultRule, RetryPolicy, RunControl, Trigger};
 pub use filter::{ClosureFilter, Filter, FilterFactory, FilterIo};
+pub use link::{egress_pump, BytePipe, Ingress, IngressFeeder, LinkOptions};
 pub use net::{
-    connect_with_retry, decode_frame, egress_pump, egress_pump_probed, egress_pump_tuned,
-    encode_frame, is_heartbeat_timeout, serve_ingress, serve_ingress_probed, serve_ingress_tuned,
-    serve_telemetry, serve_telemetry_events, Frame, IngressFeeder, NetLinkStats, NetTuning,
-    RemoteStreamReader, RemoteStreamWriter, TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC,
+    connect_with_retry, decode_frame, encode_frame, is_heartbeat_timeout, serve_ingress,
+    serve_telemetry, Frame, NetLinkStats, NetTuning, TelemetryClient, MAX_FRAME_PAYLOAD, NET_MAGIC,
     NET_VERSION, TELEMETRY_LINK,
 };
 pub use placement::{HostId, Placement, StageAssignment, StagePlacement};
 pub use recover::{decode_snapshot, Checkpoint, CheckpointStore, RecoveryOptions, Snapshot};
 pub use ring::{spsc, RingReceiver, RingSender};
 pub use shm::{
-    remove_ring_files, shm_dir, shm_egress_pump_probed, shm_supported, ShmIngress, ShmReceiver,
-    ShmSender, DEFAULT_SHM_CAPACITY, SHM_PREFIX,
+    remove_ring_files, ring_path, shm_dir, shm_supported, ShmIngress, ShmReceiver, ShmSender,
+    DEFAULT_SHM_CAPACITY, SHM_PREFIX,
 };
-pub use stream::{logical_stream, Distribution, StreamReader, StreamWriter};
+pub use stream::{logical_stream, StreamReader, StreamWriter};
 pub use telemetry::{
     decode_telemetry_payload, encode_telemetry_payload, CopyProbe, LinkProbe, StageProbe,
     TelemetryConfig, TelemetryUpdate,

@@ -71,16 +71,18 @@
 //!
 //! [`ErrorKind::Malformed`]: crate::error::ErrorKind
 
-use crate::buffer::Buffer;
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::stream::{StreamReader, StreamWriter};
-use crate::telemetry::LinkProbe;
+use crate::link::{
+    ingest, write_payload, BytePipe, Filled, Ingested, IngressCounts, IngressFeeder, LinkOptions,
+};
+use crate::stream::StreamWriter;
+use cgp_obs::plock;
 use cgp_obs::trace::{self, PID_RUNTIME};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Connection magic: first bytes of every `Hello` frame.
@@ -108,8 +110,8 @@ const TAG_TELEMETRY: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
 
 /// Fixed header length (bytes after the tag) for each frame tag, or
-/// `None` for an unknown tag. Shared by the socket reader and the
-/// shared-memory transport so both parse the identical wire format.
+/// `None` for an unknown tag. Read by the one frame reader
+/// ([`crate::link::BytePipe::read_incoming`]) that both transports use.
 pub(crate) fn frame_header_len(tag: u8) -> Option<usize> {
     match tag {
         TAG_HELLO => Some(14),
@@ -147,11 +149,6 @@ pub(crate) fn encode_data_header(from: u32, seq: u64, len: usize) -> [u8; 17] {
 /// they share the data plane's versioned handshake while remaining
 /// unmistakable for a data link.
 pub const TELEMETRY_LINK: u32 = u32::MAX;
-
-/// Poison-tolerant lock (slot state is plain data).
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One frame of the stream protocol (see the module docs for the wire
 /// layout).
@@ -383,7 +380,7 @@ impl NetTuning {
 /// A framed, cancellation-aware connection: blocking reads and writes
 /// poll the socket at [`POLL`] granularity so a cancelled run unwedges
 /// promptly even while a peer is silent.
-struct FrameConn {
+pub(crate) struct FrameConn {
     stream: TcpStream,
     control: Option<Arc<RunControl>>,
     who: String,
@@ -393,6 +390,8 @@ struct FrameConn {
     deadline: Option<Duration>,
     /// Last time any byte arrived from the peer.
     last_rx: Instant,
+    /// Last time a write completed (the heartbeat's idleness clock).
+    last_tx: Instant,
 }
 
 /// Marker prefix for silence-deadline errors, so callers can count them
@@ -417,6 +416,7 @@ impl FrameConn {
             who,
             deadline: None,
             last_rx: Instant::now(),
+            last_tx: Instant::now(),
         })
     }
 
@@ -432,16 +432,24 @@ impl FrameConn {
             .map(|_| FilterError::cancelled(self.who.clone(), "run cancelled during socket I/O"))
     }
 
-    /// Fill `buf` completely. `Ok(false)` means a clean EOF *before any
-    /// byte* and `allow_eof` — the peer closed at a frame boundary. EOF
-    /// mid-frame is malformed.
-    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<bool> {
+    /// Half-close: the peer reads EOF after the frames already written.
+    pub(crate) fn shutdown_write(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
+    }
+}
+
+impl BytePipe for FrameConn {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    fn fill(&mut self, buf: &mut [u8], allow_eof: bool) -> FilterResult<Filled> {
         let mut off = 0;
         while off < buf.len() {
             match self.stream.read(&mut buf[off..]) {
                 Ok(0) => {
                     if off == 0 && allow_eof {
-                        return Ok(false);
+                        return Ok(Filled::Eof);
                     }
                     return Err(FilterError::malformed(
                         self.who.clone(),
@@ -483,57 +491,7 @@ impl FrameConn {
                 }
             }
         }
-        Ok(true)
-    }
-
-    /// Read one frame; `Ok(None)` on a clean EOF at a frame boundary.
-    /// Heartbeats are consumed here (their only effect — refreshing the
-    /// silence deadline — happens in `fill`), so callers never see them.
-    /// The frame headers are re-parsed through [`decode_frame`] so the
-    /// socket path and the testable slice path share one hardened parser.
-    fn read_frame(&mut self) -> FilterResult<Option<Frame>> {
-        loop {
-            match self.read_frame_raw()? {
-                Some(Frame::Heartbeat) => continue,
-                other => return Ok(other),
-            }
-        }
-    }
-
-    fn read_frame_raw(&mut self) -> FilterResult<Option<Frame>> {
-        let mut tag = [0u8; 1];
-        if !self.fill(&mut tag, true)? {
-            return Ok(None);
-        }
-        let Some(header_len) = frame_header_len(tag[0]) else {
-            return Err(FilterError::malformed(
-                self.who.clone(),
-                format!("unknown frame tag {}", tag[0]),
-            ));
-        };
-        let mut frame = vec![tag[0]; 1];
-        frame.resize(1 + header_len, 0);
-        self.fill(&mut frame[1..], false)?;
-        // Frames with a variable payload: the length field's offset
-        // within the fixed header.
-        if let Some(at) = frame_len_field_at(tag[0]) {
-            let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(FilterError::malformed(
-                    self.who.clone(),
-                    format!("frame declares {len} bytes (cap {MAX_FRAME_PAYLOAD})"),
-                ));
-            }
-            let at = frame.len();
-            frame.resize(at + len, 0);
-            self.fill(&mut frame[at..], false)?;
-        }
-        decode_frame(&frame)
-            .map(|(f, _)| Some(f))
-            .map_err(|e| FilterError {
-                filter: self.who.clone(),
-                ..e
-            })
+        Ok(Filled::Full)
     }
 
     fn write_all(&mut self, mut buf: &[u8]) -> FilterResult<()> {
@@ -565,25 +523,11 @@ impl FrameConn {
                 }
             }
         }
+        self.last_tx = Instant::now();
         Ok(())
-    }
-
-    fn write_frame(&mut self, f: &Frame) -> FilterResult<()> {
-        self.write_all(&encode_frame(f))
-    }
-
-    /// Write a data frame without copying the payload into an
-    /// intermediate encoding.
-    fn write_data(&mut self, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
-        debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-        self.write_all(&encode_data_header(from, seq, payload.len()))?;
-        self.write_all(payload)
     }
 }
 
-/// Connect to `addr` with bounded retry and backoff (the peer worker may
-/// not have bound its listener yet). Cancellable; emits a `net.connect`
-/// trace span covering the whole attempt sequence.
 /// Whether a failed `connect` is worth retrying: the listener may not be
 /// accepting yet (the launcher spawns workers concurrently), the peer may
 /// have dropped a backlogged attempt, or the kernel was momentarily out
@@ -614,6 +558,9 @@ fn next_connect_delay(delay: Duration) -> Duration {
     delay.saturating_mul(2).min(MAX_CONNECT_DELAY)
 }
 
+/// Connect to `addr` with bounded retry and backoff (the peer worker may
+/// not have bound its listener yet). Cancellable; emits a `net.connect`
+/// trace span covering the whole attempt sequence.
 pub fn connect_with_retry(
     addr: &str,
     control: Option<&Arc<RunControl>>,
@@ -664,40 +611,55 @@ pub fn connect_with_retry(
     }
 }
 
-/// Producer-side remote endpoint: one connection carrying one producer
-/// copy's packets for one logical link. Sequence numbers are assigned
-/// densely here; the `HelloAck` resume watermark suppresses frames the
-/// consumer already acknowledged (reconnection after a consumer restart).
-///
-/// With [`NetTuning::heartbeat`] configured, a sidecar thread shares the
-/// connection (frame-granular mutex, so a heartbeat can never interleave
-/// inside a data frame) and emits [`Frame::Heartbeat`] whenever the link
-/// has been idle for one heartbeat interval — a blocked or slow producer
-/// stage no longer looks dead to the consumer's silence deadline.
-pub struct RemoteStreamWriter {
-    conn: Arc<Mutex<FrameConn>>,
+/// Read a handshake reply: the `HelloAck` watermark, or a named error.
+fn read_hello_ack(conn: &mut FrameConn) -> FilterResult<u64> {
+    match conn.read_frame()? {
+        Some(Frame::HelloAck { resume_seq }) => Ok(resume_seq),
+        Some(f) => Err(FilterError::malformed(
+            conn.who.clone(),
+            format!("expected HelloAck, got {f:?}"),
+        )),
+        None => Err(FilterError::malformed(
+            conn.who.clone(),
+            "connection closed during handshake",
+        )),
+    }
+}
+
+/// Producer side of a TCP link: connect (with retry) and handshake as
+/// `producer` on `link`. Returns the connection and the consumer's
+/// resume watermark from `HelloAck`. A consumer that accepted but never
+/// replies cannot hang the producer: the handshake is bounded by the
+/// silence deadline.
+pub(crate) fn open_egress(
+    addr: &str,
+    link: u32,
     producer: u32,
-    next_seq: u64,
-    resume_seq: u64,
-    frames: u64,
-    bytes: u64,
-    beat: Option<HeartbeatHandle>,
+    opts: &LinkOptions,
+) -> FilterResult<(FrameConn, u64)> {
+    let who = format!("net.egress[{producer}]");
+    let stream = connect_with_retry(addr, opts.control.as_ref(), &who)?;
+    let mut conn = FrameConn::new(stream, opts.control.clone(), who)?;
+    conn.set_deadline(opts.tuning.deadline());
+    conn.write_frame(&Frame::Hello { link, producer })?;
+    let resume = read_hello_ack(&mut conn)?;
+    Ok((conn, resume))
 }
 
-/// The egress heartbeat sidecar: stop flag + thread + beats-sent counter.
-struct HeartbeatHandle {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    sent: Arc<AtomicU64>,
+/// The egress heartbeat sidecar: it shares the connection (frame-granular
+/// mutex, so a heartbeat never interleaves inside a data frame) and emits
+/// [`Frame::Heartbeat`] whenever the link has been idle for one interval,
+/// so a blocked or slow producer stage does not look dead to the
+/// consumer's silence deadline. Stopped on drop.
+pub(crate) struct Heartbeat {
+    stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
-    last_tx: Arc<Mutex<Instant>>,
 }
 
-impl HeartbeatHandle {
-    fn spawn(conn: Arc<Mutex<FrameConn>>, every: Duration) -> Self {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let sent = Arc::new(AtomicU64::new(0));
-        let last_tx = Arc::new(Mutex::new(Instant::now()));
-        let (stop2, sent2, last2) = (Arc::clone(&stop), Arc::clone(&sent), Arc::clone(&last_tx));
+impl Heartbeat {
+    pub(crate) fn spawn(conn: Arc<Mutex<FrameConn>>, every: Duration) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             let slice = every.min(Duration::from_millis(50));
             while !stop2.load(Ordering::Acquire) {
@@ -705,37 +667,23 @@ impl HeartbeatHandle {
                 if stop2.load(Ordering::Acquire) {
                     break;
                 }
-                let idle = plock(&last2).elapsed();
-                if idle < every {
-                    continue;
-                }
                 let mut conn = plock(&conn);
-                // Re-check idleness under the lock (a data write may have
-                // just refreshed it) and stop on write errors — the data
-                // path will surface the same failure with full context.
-                if plock(&last2).elapsed() < every {
-                    continue;
-                }
-                if conn.write_frame(&Frame::Heartbeat).is_err() {
+                // Stop on write errors: the data path surfaces the same
+                // failure with full context.
+                if conn.last_tx.elapsed() >= every && conn.write_frame(&Frame::Heartbeat).is_err() {
                     break;
                 }
-                *plock(&last2) = Instant::now();
-                sent2.fetch_add(1, Ordering::Relaxed);
             }
         });
-        HeartbeatHandle {
+        Heartbeat {
             stop,
-            sent,
             thread: Some(thread),
-            last_tx,
         }
     }
+}
 
-    fn mark_tx(&self) {
-        *plock(&self.last_tx) = Instant::now();
-    }
-
-    fn stop(&mut self) {
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -743,284 +691,55 @@ impl HeartbeatHandle {
     }
 }
 
-impl Drop for HeartbeatHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl RemoteStreamWriter {
-    /// Connect (with retry) and handshake as `producer` on `link`.
-    pub fn connect(
-        addr: &str,
-        link: u32,
-        producer: u32,
-        control: Option<Arc<RunControl>>,
-    ) -> FilterResult<Self> {
-        Self::connect_tuned(addr, link, producer, control, NetTuning::default())
-    }
-
-    /// [`RemoteStreamWriter::connect`] with liveness tuning: the
-    /// handshake wait is bounded by the silence deadline and, when
-    /// heartbeats are on, the idle-link beacon thread is started.
-    pub fn connect_tuned(
-        addr: &str,
-        link: u32,
-        producer: u32,
-        control: Option<Arc<RunControl>>,
-        tuning: NetTuning,
-    ) -> FilterResult<Self> {
-        let who = format!("net.egress[{producer}]");
-        let stream = connect_with_retry(addr, control.as_ref(), &who)?;
-        let mut conn = FrameConn::new(stream, control, who.clone())?;
-        // A consumer that accepted but never replies must not hang the
-        // producer forever: bound the handshake by the silence deadline.
-        conn.set_deadline(tuning.deadline());
-        conn.write_frame(&Frame::Hello { link, producer })?;
-        let resume_seq = match conn.read_frame()? {
-            Some(Frame::HelloAck { resume_seq }) => resume_seq,
-            Some(f) => {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("expected HelloAck, got {f:?}"),
-                ))
-            }
-            None => {
-                return Err(FilterError::malformed(
-                    who,
-                    "connection closed during handshake",
-                ))
-            }
-        };
-        let conn = Arc::new(Mutex::new(conn));
-        let beat = tuning
-            .heartbeat
-            .map(|every| HeartbeatHandle::spawn(Arc::clone(&conn), every));
-        Ok(RemoteStreamWriter {
-            conn,
+/// Consumer side of a TCP handshake: validate the accepted connection's
+/// `Hello` against this link and reply with the producer's resume
+/// watermark. Returns the connection, renamed `net.ingress[p]`, and `p`.
+fn accept_handshake(
+    stream: TcpStream,
+    link: u32,
+    producers: usize,
+    resume_seq_of: impl Fn(u32) -> u64,
+    opts: &LinkOptions,
+) -> FilterResult<(FrameConn, usize)> {
+    let mut conn = FrameConn::new(stream, opts.control.clone(), "net.ingress".to_string())?;
+    conn.set_deadline(opts.tuning.deadline());
+    let producer = match conn.read_frame()? {
+        Some(Frame::Hello {
+            link: got_link,
             producer,
-            next_seq: resume_seq,
-            resume_seq,
-            frames: 0,
-            bytes: 0,
-            beat,
-        })
-    }
-
-    /// Send one packet. Frames below the consumer's resume watermark are
-    /// suppressed (already durable on the other side).
-    pub fn write(&mut self, buf: &Buffer) -> FilterResult<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if seq < self.resume_seq {
-            return Ok(());
-        }
-        let mut conn = plock(&self.conn);
-        if buf.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                conn.who.clone(),
-                format!(
-                    "packet of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    buf.len()
-                ),
-            ));
-        }
-        conn.write_data(self.producer, seq, buf.as_slice())?;
-        drop(conn);
-        if let Some(b) = &self.beat {
-            b.mark_tx();
-        }
-        self.frames += 1;
-        self.bytes += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Signal end-of-work and close the connection in order.
-    pub fn finish(mut self) -> FilterResult<NetLinkStats> {
-        if let Some(mut b) = self.beat.take() {
-            b.stop();
-        }
-        let mut conn = plock(&self.conn);
-        conn.write_frame(&Frame::End {
-            from: self.producer,
-        })?;
-        conn.write_frame(&Frame::Close)?;
-        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-        Ok(NetLinkStats {
-            frames: self.frames,
-            bytes: self.bytes,
-            ..Default::default()
-        })
-    }
-
-    /// Data frames / payload bytes sent so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.frames, self.bytes)
-    }
-
-    /// Heartbeats emitted on this connection so far.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.beat
-            .as_ref()
-            .map_or(0, |b| b.sent.load(Ordering::Relaxed))
-    }
-}
-
-/// Consumer-side remote endpoint: one accepted, handshaken connection
-/// delivering one upstream producer copy's frames.
-pub struct RemoteStreamReader {
-    conn: FrameConn,
-    producer: u32,
-}
-
-impl RemoteStreamReader {
-    /// Validate an accepted connection's `Hello` against this link and
-    /// reply with the producer's resume watermark.
-    pub fn accept(
-        stream: TcpStream,
-        link: u32,
-        producers: usize,
-        resume_seq_of: impl Fn(u32) -> u64,
-        control: Option<Arc<RunControl>>,
-    ) -> FilterResult<Self> {
-        Self::accept_tuned(stream, link, producers, resume_seq_of, control, None)
-    }
-
-    /// [`RemoteStreamReader::accept`] with an optional silence deadline
-    /// applied to the connection (handshake included).
-    pub fn accept_tuned(
-        stream: TcpStream,
-        link: u32,
-        producers: usize,
-        resume_seq_of: impl Fn(u32) -> u64,
-        control: Option<Arc<RunControl>>,
-        deadline: Option<Duration>,
-    ) -> FilterResult<Self> {
-        let mut conn = FrameConn::new(stream, control, "net.ingress".to_string())?;
-        conn.set_deadline(deadline);
-        let producer = match conn.read_frame()? {
-            Some(Frame::Hello {
-                link: got_link,
-                producer,
-            }) => {
-                if got_link != link {
-                    return Err(FilterError::malformed(
-                        conn.who,
-                        format!("connection for link {got_link} arrived at link {link}"),
-                    ));
-                }
-                if producer as usize >= producers {
-                    return Err(FilterError::malformed(
-                        conn.who,
-                        format!("producer {producer} out of range (link has {producers})"),
-                    ));
-                }
-                producer
-            }
-            Some(f) => {
+        }) => {
+            if got_link != link {
                 return Err(FilterError::malformed(
                     conn.who,
-                    format!("expected Hello, got {f:?}"),
-                ))
+                    format!("connection for link {got_link} arrived at link {link}"),
+                ));
             }
-            None => {
+            if producer as usize >= producers {
                 return Err(FilterError::malformed(
                     conn.who,
-                    "connection closed during handshake",
-                ))
+                    format!("producer {producer} out of range (link has {producers})"),
+                ));
             }
-        };
-        conn.who = format!("net.ingress[{producer}]");
-        conn.write_frame(&Frame::HelloAck {
-            resume_seq: resume_seq_of(producer),
-        })?;
-        Ok(RemoteStreamReader { conn, producer })
-    }
-
-    /// Which producer copy this connection carries.
-    pub fn producer(&self) -> u32 {
-        self.producer
-    }
-
-    /// Read the next frame; `Ok(None)` on a clean disconnect at a frame
-    /// boundary (the producer may reconnect).
-    pub fn read(&mut self) -> FilterResult<Option<Frame>> {
-        self.conn.read_frame()
-    }
-}
-
-/// Seq-deduplicating bridge from one remote producer onto its local
-/// [`StreamWriter`]. The next-expected watermark lives in a shared atomic
-/// that survives the per-connection handler, so a reconnecting producer
-/// can never regress it: duplicated in-flight frames are dropped, gaps
-/// are malformed.
-pub struct IngressFeeder {
-    writer: StreamWriter,
-    next_seq: Arc<AtomicU64>,
-    deduped: u64,
-    ended: bool,
-}
-
-impl IngressFeeder {
-    pub fn new(writer: StreamWriter) -> Self {
-        IngressFeeder {
-            writer,
-            next_seq: Arc::new(AtomicU64::new(0)),
-            deduped: 0,
-            ended: false,
+            producer
         }
-    }
-
-    /// The cumulative watermark published to a (re)connecting producer as
-    /// `HelloAck { resume_seq }`.
-    pub fn resume_seq(&self) -> u64 {
-        self.next_seq.load(Ordering::Acquire)
-    }
-
-    /// Shared handle on the watermark, readable while the feeder itself
-    /// is checked out to a connection handler (a respawned producer may
-    /// handshake before the dead connection's handler has returned it).
-    pub fn watermark(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.next_seq)
-    }
-
-    /// Duplicated frames discarded so far.
-    pub fn deduped(&self) -> u64 {
-        self.deduped
-    }
-
-    /// Whether this producer already sent `End`.
-    pub fn ended(&self) -> bool {
-        self.ended
-    }
-
-    /// Deliver frame `seq`: `Ok(true)` if forwarded to the local stream,
-    /// `Ok(false)` if it was a duplicate below the watermark. A sequence
-    /// *gap* means frames were lost on a path that guarantees FIFO —
-    /// that's corruption, not reordering, and is malformed.
-    pub fn feed(&mut self, seq: u64, buf: Buffer) -> FilterResult<bool> {
-        let expect = self.next_seq.load(Ordering::Acquire);
-        if seq < expect {
-            self.deduped += 1;
-            return Ok(false);
-        }
-        if seq > expect {
+        Some(f) => {
             return Err(FilterError::malformed(
-                "net.ingress",
-                format!("sequence gap: got {seq}, expected {expect}"),
-            ));
+                conn.who,
+                format!("expected Hello, got {f:?}"),
+            ))
         }
-        self.writer.write(buf)?;
-        self.next_seq.store(expect + 1, Ordering::Release);
-        Ok(true)
-    }
-
-    /// The producer finished its unit of work: propagate end-of-work to
-    /// the local stream.
-    pub fn end(&mut self) {
-        self.ended = true;
-        self.writer.close();
-    }
+        None => {
+            return Err(FilterError::malformed(
+                conn.who,
+                "connection closed during handshake",
+            ))
+        }
+    };
+    conn.who = format!("net.ingress[{producer}]");
+    conn.write_frame(&Frame::HelloAck {
+        resume_seq: resume_seq_of(producer),
+    })?;
+    Ok((conn, producer as usize))
 }
 
 /// Slot table entry for one upstream producer copy. The feeder (and its
@@ -1049,58 +768,28 @@ struct Slot {
 /// and reconnect; the sequence watermark in the slot table dedups any
 /// re-sent in-flight frames. EOF mid-frame is malformed and fails the
 /// link.
-pub fn serve_ingress(
-    listener: TcpListener,
-    link: u32,
-    writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-) -> FilterResult<NetLinkStats> {
-    serve_ingress_probed(listener, link, writers, control, None)
-}
-
-/// [`serve_ingress`] with an optional live [`LinkProbe`]: frame/byte/
-/// dedup counters tick as traffic flows, so the telemetry sampler can
-/// report per-link rates mid-run instead of only at link teardown.
-pub fn serve_ingress_probed(
-    listener: TcpListener,
-    link: u32,
-    writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    serve_ingress_tuned(
-        listener,
-        link,
-        writers,
-        control,
-        probe,
-        NetTuning::default(),
-    )
-}
-
-/// [`serve_ingress_probed`] with liveness tuning. With default tuning the
-/// behavior is byte-for-byte the pre-supervision protocol. With
-/// `tuning.supervised` the link becomes crash-tolerant: a connection that
-/// dies without `End` — reset, EOF mid-frame, or silence past the
-/// heartbeat deadline — parks the producer's slot instead of failing the
-/// link, and a respawned process may reconnect (within
+///
+/// With `opts.tuning.supervised` the link becomes crash-tolerant: a
+/// connection that dies without `End` — reset, EOF mid-frame, or silence
+/// past the heartbeat deadline — parks the producer's slot instead of
+/// failing the link, and a respawned process may reconnect (within
 /// `tuning.reconnect`) and resume from the `HelloAck` watermark; a
 /// reconnect after `End` is drained and discarded (the respawned prefix
 /// deterministically regenerates everything, so its tail duplicates are
 /// expected, not corruption).
-pub fn serve_ingress_tuned(
+pub fn serve_ingress(
     listener: TcpListener,
     link: u32,
     writers: Vec<StreamWriter>,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-    tuning: NetTuning,
+    opts: &LinkOptions,
 ) -> FilterResult<NetLinkStats> {
+    let tuning = opts.tuning;
     let producers = writers.len();
     let slots: Vec<Mutex<Slot>> = writers
         .into_iter()
-        .map(|w| {
-            let feeder = IngressFeeder::new(w);
+        .enumerate()
+        .map(|(p, w)| {
+            let feeder = IngressFeeder::new(w, format!("net.ingress[{p}]"));
             Mutex::new(Slot {
                 watermark: feeder.watermark(),
                 feeder: Some(feeder),
@@ -1112,8 +801,8 @@ pub fn serve_ingress_tuned(
     let slots = &slots;
     let remaining = AtomicUsize::new(producers);
     let remaining = &remaining;
-    let frames = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
+    let counts = IngressCounts::new(opts.probe.clone());
+    let counts = &counts;
     let timeouts = AtomicU64::new(0);
     let timeouts = &timeouts;
     let reconnects = AtomicU64::new(0);
@@ -1121,9 +810,9 @@ pub fn serve_ingress_tuned(
     listener
         .set_nonblocking(true)
         .map_err(|e| FilterError::new("net.ingress", format!("listener: {e}")))?;
-    let cancelled = || control.as_ref().is_some_and(|c| c.is_cancelled());
+    let cancelled = || opts.cancelled();
     let fail = |e: FilterError, errs: &Mutex<Vec<FilterError>>| {
-        if let Some(c) = &control {
+        if let Some(c) = &opts.control {
             c.cancel(format!("ingress link {link} failed: {e}"));
         }
         plock(errs).push(e);
@@ -1182,21 +871,19 @@ pub fn serve_ingress_tuned(
             // every producer streams concurrently. The watermark is read
             // through the slot's shared handle: it stays correct even
             // while the feeder is checked out to a dying connection.
-            let remote = match RemoteStreamReader::accept_tuned(
+            let (conn, p) = match accept_handshake(
                 stream,
                 link,
                 producers,
                 |p| plock(&slots[p as usize]).watermark.load(Ordering::Acquire),
-                control.clone(),
-                tuning.deadline(),
+                opts,
             ) {
-                Ok(r) => r,
+                Ok(accepted) => accepted,
                 Err(e) => {
                     fail(e, &errors);
                     break;
                 }
             };
-            let p = remote.producer() as usize;
             // A respawned producer can handshake while the dead
             // connection's handler is still timing out its read; wait
             // (bounded) for the handler to park the feeder.
@@ -1227,14 +914,10 @@ pub fn serve_ingress_tuned(
                     // tail past this link's End is duplicate by
                     // construction. Drain and discard it.
                     scope.spawn(move || {
-                        let mut remote = remote;
-                        loop {
-                            match remote.read() {
-                                Ok(Some(Frame::End { .. })) | Ok(Some(Frame::Close)) | Ok(None) => {
-                                    break
-                                }
-                                Ok(Some(_)) => continue,
-                                Err(_) => break,
+                        let mut conn = conn;
+                        while let Ok(Some(f)) = conn.read_frame() {
+                            if matches!(f, Frame::End { .. } | Frame::Close) {
+                                break;
                             }
                         }
                     });
@@ -1257,104 +940,36 @@ pub fn serve_ingress_tuned(
                 }
                 slot.connected_once = true;
             }
-            let (frames, bytes, errors) = (&frames, &bytes, &errors);
+            let errors = &errors;
             let fail = &fail;
-            let probe = probe.clone();
             scope.spawn(move || {
-                let mut remote = remote;
+                let mut conn = conn;
                 let mut feeder = feeder;
                 // Whether this connection died without `End` (supervised:
                 // park the slot and await a respawned producer).
                 let mut parked = false;
-                loop {
-                    match remote.read() {
-                        Ok(Some(Frame::Data { from, seq, payload })) => {
-                            if from as usize != p {
-                                fail(
-                                    FilterError::malformed(
-                                        "net.ingress",
-                                        format!(
-                                            "frame from producer {from} on producer {p}'s \
-                                             connection"
-                                        ),
-                                    ),
-                                    errors,
-                                );
-                                break;
-                            }
-                            let n = payload.len() as u64;
-                            match feeder.feed(seq, Buffer::from_vec(payload)) {
-                                Ok(true) => {
-                                    frames.fetch_add(1, Ordering::Relaxed);
-                                    bytes.fetch_add(n, Ordering::Relaxed);
-                                    if let Some(p) = &probe {
-                                        p.count_frame(n);
-                                    }
-                                }
-                                Ok(false) => {
-                                    if let Some(p) = &probe {
-                                        p.deduped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Err(e) => {
-                                    fail(e, errors);
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(Some(Frame::End { from })) => {
-                            if from as usize != p {
-                                fail(
-                                    FilterError::malformed(
-                                        "net.ingress",
-                                        format!(
-                                            "End from producer {from} on producer {p}'s \
-                                                 connection"
-                                        ),
-                                    ),
-                                    errors,
-                                );
-                                break;
-                            }
-                            feeder.end();
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            break;
-                        }
-                        // Clean disconnect: the producer may reconnect
-                        // (its process restarted); the watermark in the
-                        // slot table survives.
-                        Ok(Some(Frame::Close)) | Ok(None) => {
-                            parked = tuning.supervised;
-                            break;
-                        }
-                        Ok(Some(f)) => {
-                            fail(
-                                FilterError::malformed(
-                                    "net.ingress",
-                                    format!("unexpected frame mid-stream: {f:?}"),
-                                ),
-                                errors,
-                            );
-                            break;
-                        }
-                        Err(e) => {
-                            // Supervised: a dead connection — reset, EOF
-                            // mid-frame, heartbeat timeout — is a dirty
-                            // disconnect, not link failure. The partial
-                            // frame (if any) was never fed, so the
-                            // watermark is consistent and a respawned
-                            // producer resumes exactly past it.
-                            if tuning.supervised && e.kind != crate::error::ErrorKind::Cancelled {
-                                if is_heartbeat_timeout(&e) {
-                                    timeouts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                parked = true;
-                                break;
-                            }
-                            fail(e, errors);
-                            break;
-                        }
+                match ingest(&mut conn, p, &mut feeder, counts, |_, _| {}) {
+                    Ok(Ingested::End) => {
+                        remaining.fetch_sub(1, Ordering::AcqRel);
                     }
+                    // Clean disconnect: the producer may reconnect (its
+                    // process restarted); the watermark in the slot table
+                    // survives.
+                    Ok(Ingested::Closed | Ingested::Reset) => parked = tuning.supervised,
+                    // Supervised: a dead connection — reset, EOF
+                    // mid-frame, heartbeat timeout — is a dirty
+                    // disconnect, not link failure. The partial frame (if
+                    // any) was never fed, so the watermark is consistent
+                    // and a respawned producer resumes exactly past it.
+                    Ok(Ingested::Broken(e))
+                        if tuning.supervised && e.kind != crate::error::ErrorKind::Cancelled =>
+                    {
+                        if is_heartbeat_timeout(&e) {
+                            timeouts.fetch_add(1, Ordering::Relaxed);
+                        }
+                        parked = true;
+                    }
+                    Ok(Ingested::Broken(e)) | Err(e) => fail(e, errors),
                 }
                 // Return the feeder (and its watermark) to the slot for a
                 // possible reconnect; start the reconnect clock if the
@@ -1374,7 +989,7 @@ pub fn serve_ingress_tuned(
     for slot in slots {
         if let Some(f) = &mut plock(slot).feeder {
             deduped += f.deduped();
-            f.writer.close();
+            f.abandon();
         }
     }
     if let Some(e) = plock(&errors).first() {
@@ -1387,86 +1002,10 @@ pub fn serve_ingress_tuned(
         ));
     }
     Ok(NetLinkStats {
-        frames: frames.load(Ordering::Relaxed),
-        bytes: bytes.load(Ordering::Relaxed),
-        deduped,
         timeouts: timeouts.load(Ordering::Relaxed),
         reconnects: reconnects.load(Ordering::Relaxed),
+        ..counts.stats(deduped)
     })
-}
-
-/// Drain one local [`StreamReader`] (the 1→1 stream behind one producer
-/// copy) into a remote connection. Each successfully transmitted packet
-/// is acknowledged on the local stream — the socket plays a stateless
-/// consumer, so the producer side's replay buffers stay bounded and a
-/// restarted filter copy replays only untransmitted packets.
-pub fn egress_pump(
-    reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-) -> FilterResult<NetLinkStats> {
-    egress_pump_probed(reader, addr, link, producer, control, None)
-}
-
-/// [`egress_pump`] with an optional live [`LinkProbe`] (shared by every
-/// producer copy's pump on the link): transmitted frame/byte counters
-/// tick per packet for the telemetry sampler.
-pub fn egress_pump_probed(
-    reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
-    egress_pump_tuned(
-        reader,
-        addr,
-        link,
-        producer,
-        control,
-        probe,
-        NetTuning::default(),
-    )
-}
-
-/// [`egress_pump_probed`] with liveness tuning: the handshake wait is
-/// bounded by the silence deadline, and with heartbeats configured the
-/// connection emits [`Frame::Heartbeat`] whenever the producer stage is
-/// idle — so the consumer's deadline distinguishes "slow" from "dead".
-pub fn egress_pump_tuned(
-    mut reader: StreamReader,
-    addr: &str,
-    link: u32,
-    producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-    tuning: NetTuning,
-) -> FilterResult<NetLinkStats> {
-    let mut conn =
-        RemoteStreamWriter::connect_tuned(addr, link, producer, control.clone(), tuning)?;
-    let (mut pf, mut pb) = (0u64, 0u64);
-    while let Some(buf) = reader.read() {
-        conn.write(&buf)?;
-        reader.commit_acks();
-        if let Some(p) = &probe {
-            // Delta against the connection's own counters, so suppressed
-            // resends never inflate the probe.
-            let (f, b) = conn.stats();
-            p.frames.fetch_add(f - pf, Ordering::Relaxed);
-            p.bytes.fetch_add(b - pb, Ordering::Relaxed);
-            (pf, pb) = (f, b);
-        }
-    }
-    if control.as_ref().is_some_and(|c| c.is_cancelled()) {
-        return Err(FilterError::cancelled(
-            format!("net.egress[{producer}]"),
-            "run cancelled during transmit",
-        ));
-    }
-    conn.finish()
 }
 
 /// Worker-side telemetry connection to the launcher's aggregator.
@@ -1499,52 +1038,27 @@ impl TelemetryClient {
         }
         let stream = TcpStream::connect(addr)
             .map_err(|e| FilterError::new(who.clone(), format!("connect to {addr} failed: {e}")))?;
-        let mut conn = FrameConn::new(stream, control, who.clone())?;
+        let mut conn = FrameConn::new(stream, control, who)?;
         conn.write_frame(&Frame::Hello {
             link: TELEMETRY_LINK,
             producer: worker,
         })?;
-        match conn.read_frame()? {
-            Some(Frame::HelloAck { .. }) => {}
-            Some(f) => {
-                return Err(FilterError::malformed(
-                    who,
-                    format!("expected HelloAck, got {f:?}"),
-                ))
-            }
-            None => {
-                return Err(FilterError::malformed(
-                    who,
-                    "connection closed during handshake",
-                ))
-            }
-        }
+        read_hello_ack(&mut conn)?;
         Ok(TelemetryClient { conn })
     }
 
     /// Ship one telemetry payload.
     pub fn send(&mut self, payload: &[u8]) -> FilterResult<()> {
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                self.conn.who.clone(),
-                format!(
-                    "telemetry payload of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    payload.len()
-                ),
-            ));
-        }
-        let mut header = [0u8; 5];
-        header[0] = TAG_TELEMETRY;
+        let mut header = [TAG_TELEMETRY; 5];
         header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.conn.write_all(&header)?;
-        self.conn.write_all(payload)
+        write_payload(&mut self.conn, &header, payload)
     }
 
     /// Orderly shutdown; errors are ignored (the aggregator treats EOF
     /// and `Close` the same).
     pub fn close(mut self) {
         let _ = self.conn.write_frame(&Frame::Close);
-        let _ = self.conn.stream.shutdown(std::net::Shutdown::Write);
+        self.conn.shutdown_write();
     }
 }
 
@@ -1558,24 +1072,12 @@ impl TelemetryClient {
 /// Telemetry is best-effort: per-connection decode errors end that
 /// connection but are not propagated (a run must never fail because its
 /// telemetry did). Only listener setup errors are returned.
-pub fn serve_telemetry<F>(
-    listener: TcpListener,
-    expected: usize,
-    control: Option<Arc<RunControl>>,
-    on_update: F,
-) -> FilterResult<()>
-where
-    F: Fn(u32, Vec<u8>) + Send + Sync,
-{
-    serve_telemetry_events(listener, expected, control, on_update, |_| {})
-}
-
-/// [`serve_telemetry`] plus a disconnect hook: `on_disconnect(worker)`
-/// fires when a worker's connection ends (cleanly or not), after its
-/// last update was delivered. Aggregators use it to retire the worker's
-/// live state — without it, a crashed worker's final sample haunts every
-/// merged status line.
-pub fn serve_telemetry_events<F, D>(
+///
+/// `on_disconnect(worker)` fires when a worker's connection ends (cleanly
+/// or not), after its last update was delivered. Aggregators use it to
+/// retire the worker's live state — without it, a crashed worker's final
+/// sample haunts every merged status line.
+pub fn serve_telemetry<F, D>(
     listener: TcpListener,
     expected: usize,
     control: Option<Arc<RunControl>>,
@@ -1641,7 +1143,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{logical_stream, Distribution};
+    use crate::buffer::Buffer;
+    use crate::stream::logical_stream;
 
     #[test]
     fn frames_roundtrip() {
@@ -1767,7 +1270,8 @@ mod tests {
         let got: Mutex<Vec<(u32, Vec<u8>)>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
             s.spawn(|| {
-                serve_telemetry(listener, 2, None, |w, p| plock(&got).push((w, p))).unwrap();
+                serve_telemetry(listener, 2, None, |w, p| plock(&got).push((w, p)), |_| {})
+                    .unwrap();
             });
             for w in 0..2u32 {
                 let addr = addr.clone();
@@ -1794,8 +1298,8 @@ mod tests {
 
     #[test]
     fn ingress_feeder_dedups_and_rejects_gaps() {
-        let (ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
-        let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap());
+        let (ws, mut rs) = logical_stream(1, 1, 16, &LinkOptions::default());
+        let mut feeder = IngressFeeder::new(ws.into_iter().next().unwrap(), "net.ingress[0]");
         for seq in 0..3 {
             assert!(feeder.feed(seq, Buffer::from_vec(vec![seq as u8])).unwrap());
         }
@@ -1809,6 +1313,7 @@ mod tests {
         // A gap is corruption.
         let err = feeder.feed(9, Buffer::from_vec(vec![9])).unwrap_err();
         assert_eq!(err.kind, crate::error::ErrorKind::Malformed);
+        assert_eq!(err.filter, "net.ingress[0]", "the error names its endpoint");
         feeder.end();
         let seen: Vec<u8> = std::iter::from_fn(|| rs[0].read())
             .map(|b| b.as_slice()[0])

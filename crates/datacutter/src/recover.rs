@@ -36,6 +36,7 @@
 //! [`Filter::restore`]: crate::filter::Filter::restore
 
 use crate::error::{FilterError, FilterResult};
+use cgp_obs::plock;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -227,7 +228,7 @@ impl CheckpointStore {
                 snap.state.len(),
                 hex
             );
-            let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
+            let mut f = plock(file);
             f.write_all(line.as_bytes()).map_err(|e| {
                 FilterError::new(
                     format!("{stage}[{copy}]"),
@@ -243,10 +244,7 @@ impl CheckpointStore {
                 )
             })?;
         }
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((stage.to_string(), copy), snap);
+        plock(&self.inner).insert((stage.to_string(), copy), snap);
         Ok(())
     }
 
@@ -290,11 +288,7 @@ impl CheckpointStore {
 
     /// The latest snapshot for `stage[copy]`, if any commit happened.
     pub fn load(&self, stage: &str, copy: usize) -> Option<Snapshot> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(stage.to_string(), copy))
-            .cloned()
+        plock(&self.inner).get(&(stage.to_string(), copy)).cloned()
     }
 
     /// Total commits across all copies.

@@ -42,17 +42,13 @@
 //! cancel-beats-queued-data rule.
 
 use crate::channel::{CancelToken, RecvError, SendError};
+use cgp_obs::plock;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Poison-tolerant lock (the park mutex guards no data).
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Busy-spins before yielding the core.
 const SPINS: u32 = 128;

@@ -13,12 +13,11 @@
 //! ## What flows through the ring
 //!
 //! Exactly the TCP wire format ([`crate::net`]): the same length-
-//! prefixed `Hello` / `Data` / `End` / `Close` frames, encoded by the
-//! same helpers and re-parsed by the same hardened [`decode_frame`].
-//! The ring is a plain byte pipe underneath — a frame larger than the
-//! ring streams through incrementally, reader consuming while the
-//! writer is still copying, so [`MAX_FRAME_PAYLOAD`] stays the only
-//! payload cap.
+//! prefixed `Hello` / `Data` / `End` / `Close` frames, written and read
+//! by the one frame layer in [`crate::link`]. Each ring half is a
+//! [`BytePipe`] — a frame larger than the ring streams through
+//! incrementally, reader consuming while the writer is still copying, so
+//! [`crate::net::MAX_FRAME_PAYLOAD`] stays the only payload cap.
 //!
 //! ## Layout and memory ordering
 //!
@@ -81,19 +80,18 @@
 //! Unsupervised runs keep the strict pre-supervision semantics: a ring
 //! closing before `End` is an error, and a reset request is malformed.
 
-use crate::buffer::Buffer;
 use crate::error::{FilterError, FilterResult};
 use crate::fault::RunControl;
-use crate::net::{
-    decode_frame, encode_data_header, encode_frame, frame_header_len, frame_len_field_at, Frame,
-    IngressFeeder, NetLinkStats, NetTuning, MAX_FRAME_PAYLOAD,
+use crate::link::{
+    ingest, BytePipe, Filled, Incoming, Ingested, IngressCounts, IngressFeeder, LinkOptions,
 };
-use crate::stream::{StreamReader, StreamWriter};
-use crate::telemetry::LinkProbe;
+use crate::net::{Frame, NetLinkStats};
+use crate::stream::StreamWriter;
+use cgp_obs::plock;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Ring-file magic: first bytes of the mapped header.
@@ -135,10 +133,6 @@ const SLEEP: Duration = Duration::from_micros(100);
 /// file before giving up (the consumer creates it before announcing,
 /// so this only covers slow filesystems and test races).
 const ATTACH_BUDGET: Duration = Duration::from_secs(10);
-
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Whether this build supports the shm transport (mmap is required).
 pub fn shm_supported() -> bool {
@@ -663,10 +657,24 @@ impl ShmSender {
             .filter(|c| c.is_cancelled())
             .map(|_| FilterError::cancelled(self.who.clone(), "run cancelled during shm write"))
     }
+}
+
+impl BytePipe for ShmSender {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    /// The producer half only writes.
+    fn fill(&mut self, _buf: &mut [u8], _allow_eof: bool) -> FilterResult<Filled> {
+        Err(FilterError::new(
+            self.who.clone(),
+            "the producer half of a shm ring cannot read",
+        ))
+    }
 
     /// Stream `buf` into the ring, publishing incrementally so records
     /// larger than the ring flow through without deadlock.
-    pub fn write_all(&mut self, mut buf: &[u8]) -> FilterResult<()> {
+    fn write_all(&mut self, mut buf: &[u8]) -> FilterResult<()> {
         let mut backoff = Backoff::new();
         while !buf.is_empty() {
             if let Some(e) = self.cancelled() {
@@ -695,26 +703,6 @@ impl ShmSender {
         }
         Ok(())
     }
-
-    /// Write one control frame.
-    pub fn write_frame(&mut self, f: &Frame) -> FilterResult<()> {
-        self.write_all(&encode_frame(f))
-    }
-
-    /// Write a data frame without an intermediate encode of the payload.
-    pub fn write_data(&mut self, from: u32, seq: u64, payload: &[u8]) -> FilterResult<()> {
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FilterError::new(
-                self.who.clone(),
-                format!(
-                    "packet of {} bytes exceeds the frame cap {MAX_FRAME_PAYLOAD}",
-                    payload.len()
-                ),
-            ));
-        }
-        self.write_all(&encode_data_header(from, seq, payload.len()))?;
-        self.write_all(payload)
-    }
 }
 
 impl Drop for ShmSender {
@@ -723,31 +711,6 @@ impl Drop for ShmSender {
         // the flag re-loads tail and drains everything first.
         self.map.close(OFF_PRODUCER_CLOSED);
     }
-}
-
-/// What one `fill` call produced.
-enum Filled {
-    /// Buffer completely filled.
-    Full,
-    /// Producer closed at a record boundary before any byte (only when
-    /// the caller allowed EOF).
-    Eof,
-    /// A rejoining producer requested a ring reset; any partial fill
-    /// was abandoned and the ring drained. The caller must restart its
-    /// frame parse from a clean boundary.
-    Reset,
-}
-
-/// One result of [`ShmReceiver::read_frame_sup`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum ShmRead {
-    /// A complete frame.
-    Frame(Frame),
-    /// Producer closed at a frame boundary.
-    Eof,
-    /// A respawned producer re-attached and the ring was drained; expect
-    /// a fresh `Hello` next.
-    Reset,
 }
 
 /// Consumer half of one ring: frame reader over the byte pipe. Unlinks
@@ -847,6 +810,20 @@ impl ShmReceiver {
         self.map.reset_ack().store(req, Ordering::Release);
         true
     }
+}
+
+impl BytePipe for ShmReceiver {
+    fn who(&self) -> &str {
+        &self.who
+    }
+
+    /// The consumer half only reads.
+    fn write_all(&mut self, _buf: &[u8]) -> FilterResult<()> {
+        Err(FilterError::new(
+            self.who.clone(),
+            "the consumer half of a shm ring cannot write",
+        ))
+    }
 
     /// Fill `buf` completely. [`Filled::Eof`] means the producer closed
     /// at a record boundary (`allow_eof` and no byte read yet); a close
@@ -910,63 +887,6 @@ impl ShmReceiver {
         }
         Ok(Filled::Full)
     }
-
-    /// Read one frame, surfacing supervised ring resets to the caller.
-    /// Shares the header-layout tables and [`decode_frame`] with the
-    /// socket path, so both transports parse one format.
-    pub fn read_frame_sup(&mut self) -> FilterResult<ShmRead> {
-        let mut tag = [0u8; 1];
-        match self.fill(&mut tag, true)? {
-            Filled::Eof => return Ok(ShmRead::Eof),
-            Filled::Reset => return Ok(ShmRead::Reset),
-            Filled::Full => {}
-        }
-        let Some(header_len) = frame_header_len(tag[0]) else {
-            return Err(FilterError::malformed(
-                self.who.clone(),
-                format!("unknown frame tag {}", tag[0]),
-            ));
-        };
-        let mut frame = vec![tag[0]; 1];
-        frame.resize(1 + header_len, 0);
-        if matches!(self.fill(&mut frame[1..], false)?, Filled::Reset) {
-            return Ok(ShmRead::Reset);
-        }
-        if let Some(at) = frame_len_field_at(tag[0]) {
-            let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(FilterError::malformed(
-                    self.who.clone(),
-                    format!("frame declares {len} bytes (cap {MAX_FRAME_PAYLOAD})"),
-                ));
-            }
-            let at = frame.len();
-            frame.resize(at + len, 0);
-            if matches!(self.fill(&mut frame[at..], false)?, Filled::Reset) {
-                return Ok(ShmRead::Reset);
-            }
-        }
-        decode_frame(&frame)
-            .map(|(f, _)| ShmRead::Frame(f))
-            .map_err(|e| FilterError {
-                filter: self.who.clone(),
-                ..e
-            })
-    }
-
-    /// Read one frame; `Ok(None)` when the producer closed at a frame
-    /// boundary. A ring reset is an error on this path — only supervised
-    /// serve loops expect rejoins.
-    pub fn read_frame(&mut self) -> FilterResult<Option<Frame>> {
-        match self.read_frame_sup()? {
-            ShmRead::Frame(f) => Ok(Some(f)),
-            ShmRead::Eof => Ok(None),
-            ShmRead::Reset => Err(FilterError::malformed(
-                self.who.clone(),
-                "unexpected ring reset (second producer attached to an unsupervised ring)",
-            )),
-        }
-    }
 }
 
 impl Drop for ShmReceiver {
@@ -1028,48 +948,35 @@ impl ShmIngress {
 
     /// Bridge every producer's frames onto the local `writers` (writer
     /// `p` plays producer copy `p`, preserving in-process round-robin
-    /// routing). Returns when every producer sent `End`, or with the
-    /// first error after cancelling the run. Unsupervised: a producer
-    /// closing its ring before `End` is an error.
-    pub fn serve_probed(
+    /// routing), one reader thread per ring. Returns when every producer
+    /// sent `End`, or with the first error after cancelling the run.
+    /// Unsupervised, a producer closing its ring before `End` is an
+    /// error.
+    ///
+    /// `opts.tuning.supervised` arms the ring-reset protocol: a producer
+    /// that dies mid-stream parks its ring reader until the supervisor's
+    /// respawn re-attaches, drains the truncated tail, re-Hellos, and
+    /// resumes from the published watermark (duplicates deduped by the
+    /// feeder either way). Ring files stay alive until every producer
+    /// ended, so a rejoin can target any ring of the link. Heartbeats do
+    /// not apply here — liveness is pid-based.
+    pub fn serve(
         self,
         link: u32,
         writers: Vec<StreamWriter>,
-        control: Option<Arc<RunControl>>,
-        probe: Option<Arc<LinkProbe>>,
-    ) -> FilterResult<NetLinkStats> {
-        self.serve_tuned(link, writers, control, probe, NetTuning::default())
-    }
-
-    /// [`Self::serve_probed`] with explicit [`NetTuning`]. Supervised
-    /// mode arms the ring-reset protocol: a producer that dies mid-
-    /// stream parks its ring reader until the supervisor's respawn
-    /// re-attaches, drains the truncated tail, re-Hellos, and resumes
-    /// from the published watermark (duplicates deduped by the feeder
-    /// either way). Ring files stay alive until every producer ended,
-    /// so a rejoin can target any ring of the link. Heartbeats do not
-    /// apply here — liveness is pid-based.
-    pub fn serve_tuned(
-        self,
-        link: u32,
-        writers: Vec<StreamWriter>,
-        control: Option<Arc<RunControl>>,
-        probe: Option<Arc<LinkProbe>>,
-        tuning: NetTuning,
+        opts: &LinkOptions,
     ) -> FilterResult<NetLinkStats> {
         assert_eq!(
             writers.len(),
             self.receivers.len(),
             "one local writer per producer ring"
         );
-        let frames = AtomicU64::new(0);
-        let bytes = AtomicU64::new(0);
+        let counts = IngressCounts::new(opts.probe.clone());
         let reconnects = AtomicU64::new(0);
         let errors: Mutex<Vec<FilterError>> = Mutex::new(Vec::new());
-        let (frames, bytes, reconnects, errors) = (&frames, &bytes, &reconnects, &errors);
-        let control = &control;
+        let (counts, reconnects, errors) = (&counts, &reconnects, &errors);
         let fail = |e: FilterError| {
-            if let Some(c) = control {
+            if let Some(c) = &opts.control {
                 c.cancel(format!("shm ingress link {link} failed: {e}"));
             }
             plock(errors).push(e);
@@ -1079,99 +986,65 @@ impl ShmIngress {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (p, (mut rx, writer)) in self.receivers.into_iter().zip(writers).enumerate() {
-                let probe = probe.clone();
                 handles.push(scope.spawn(move || {
-                    if tuning.supervised {
-                        rx.set_supervised(tuning.reconnect);
+                    if opts.tuning.supervised {
+                        rx.set_supervised(opts.tuning.reconnect);
                     }
-                    let mut feeder = IngressFeeder::new(writer);
-                    let watermark = feeder.watermark();
+                    let mut feeder = IngressFeeder::new(writer, format!("shm.ingress[{p}]"));
                     let res = (|| -> FilterResult<()> {
-                        let mut expect_hello = true;
                         let mut connected = false;
                         loop {
-                            match rx.read_frame_sup()? {
-                                ShmRead::Reset => {
+                            // Every (re)attach opens with an in-ring Hello.
+                            match rx.read_incoming()? {
+                                Incoming::Reset => {
                                     if connected {
                                         reconnects.fetch_add(1, Ordering::Relaxed);
                                     }
-                                    expect_hello = true;
+                                    continue;
                                 }
-                                ShmRead::Frame(Frame::Hello {
+                                Incoming::Frame(Frame::Hello {
                                     link: got_link,
                                     producer,
-                                }) if expect_hello => {
-                                    if got_link != link || producer as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!(
-                                                "hello for link {got_link} producer {producer} \
-                                                 arrived at link {link} producer {p}"
-                                            ),
-                                        ));
-                                    }
-                                    expect_hello = false;
-                                    connected = true;
-                                }
-                                _ if expect_hello => {
+                                }) if got_link == link && producer as usize == p => {}
+                                Incoming::Frame(Frame::Hello { link: l, producer }) => {
                                     return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
+                                        rx.who(),
+                                        format!(
+                                            "hello for link {l} producer {producer} \
+                                             arrived at link {link} producer {p}"
+                                        ),
+                                    ));
+                                }
+                                _ => {
+                                    return Err(FilterError::malformed(
+                                        rx.who(),
                                         "expected Hello first on this ring",
                                     ));
                                 }
-                                ShmRead::Frame(Frame::Data { from, seq, payload }) => {
-                                    if from as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!("frame from producer {from} on ring {p}"),
-                                        ));
-                                    }
-                                    let n = payload.len() as u64;
-                                    if feeder.feed(seq, Buffer::from_vec(payload))? {
-                                        frames.fetch_add(1, Ordering::Relaxed);
-                                        bytes.fetch_add(n, Ordering::Relaxed);
-                                        if let Some(pr) = &probe {
-                                            pr.count_frame(n);
-                                        }
-                                    } else if let Some(pr) = &probe {
-                                        pr.deduped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    rx.publish_resume(watermark.load(Ordering::Acquire));
+                            }
+                            connected = true;
+                            let publish = |rx: &ShmReceiver, next: u64| rx.publish_resume(next);
+                            match ingest(&mut rx, p, &mut feeder, counts, publish)? {
+                                Ingested::End => return Ok(()),
+                                Ingested::Reset => {
+                                    reconnects.fetch_add(1, Ordering::Relaxed);
                                 }
-                                ShmRead::Frame(Frame::End { from }) => {
-                                    if from as usize != p {
-                                        return Err(FilterError::malformed(
-                                            format!("shm.ingress[{p}]"),
-                                            format!("End from producer {from} on ring {p}"),
-                                        ));
-                                    }
-                                    feeder.end();
-                                    return Ok(());
-                                }
-                                // A ring closing before End means the
-                                // producer died (supervised readers park
-                                // inside read_frame_sup instead).
-                                ShmRead::Frame(Frame::Close) | ShmRead::Eof => {
+                                // Supervised readers park inside `fill`, so
+                                // a ring closing before End here means the
+                                // producer is gone for good.
+                                Ingested::Closed => {
                                     return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
+                                        rx.who(),
                                         "producer closed its ring before End",
                                     ));
                                 }
-                                ShmRead::Frame(f) => {
-                                    return Err(FilterError::malformed(
-                                        format!("shm.ingress[{p}]"),
-                                        format!("unexpected frame mid-stream: {f:?}"),
-                                    ));
-                                }
+                                Ingested::Broken(e) => return Err(e),
                             }
                         }
                     })();
                     if let Err(e) = res {
                         fail(e);
-                    }
-                    if !feeder.ended() {
-                        // Error/cancel path: unblock downstream readers.
-                        feeder.end();
+                        feeder.abandon();
                     }
                     // Hand the receiver back so ring files survive until
                     // the whole link completed: a late rejoin must find
@@ -1191,71 +1064,37 @@ impl ShmIngress {
             return Err(e.clone());
         }
         Ok(NetLinkStats {
-            frames: frames.load(Ordering::Relaxed),
-            bytes: bytes.load(Ordering::Relaxed),
-            deduped,
             reconnects: reconnects.load(Ordering::Relaxed),
-            ..Default::default()
+            ..counts.stats(deduped)
         })
     }
 }
 
-/// Drain one local 1→1 stream behind producer copy `producer` into the
-/// ring at `<base>.<producer>` — the shm analogue of
-/// [`crate::net::egress_pump_probed`], with the same per-packet ack
-/// commit so producer-side replay buffers stay bounded. When the attach
-/// was a rejoin (respawned worker reconnecting to a surviving
-/// consumer), packets below the consumer's resume watermark are
-/// suppressed at the source, mirroring the TCP `HelloAck` path.
-pub fn shm_egress_pump_probed(
-    mut reader: StreamReader,
+/// Producer side of a shm link: attach to the ring at
+/// `<base>.<producer>` and open it with `Hello`. Returns the sender and
+/// the consumer's resume watermark, non-zero only when this attach was a
+/// rejoin (a respawned worker reconnecting to a surviving consumer) —
+/// the shm counterpart of TCP's `HelloAck`.
+pub(crate) fn open_egress(
     base: &str,
     link: u32,
     producer: u32,
-    control: Option<Arc<RunControl>>,
-    probe: Option<Arc<LinkProbe>>,
-) -> FilterResult<NetLinkStats> {
+    opts: &LinkOptions,
+) -> FilterResult<(ShmSender, u64)> {
     let who = format!("shm.egress[{producer}]");
-    let mut tx = ShmSender::attach(&ring_path(base, producer), control.clone(), who.clone())?;
+    let mut tx = ShmSender::attach(&ring_path(base, producer), opts.control.clone(), who)?;
     tx.write_frame(&Frame::Hello { link, producer })?;
     let resume = tx.resume_seq();
-    let mut seq = 0u64;
-    let (mut frames, mut bytes, mut deduped) = (0u64, 0u64, 0u64);
-    while let Some(buf) = reader.read() {
-        if seq >= resume {
-            tx.write_data(producer, seq, buf.as_slice())?;
-            frames += 1;
-            bytes += buf.len() as u64;
-            if let Some(p) = &probe {
-                p.frames.fetch_add(1, Ordering::Relaxed);
-                p.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-            }
-        } else {
-            deduped += 1;
-            if let Some(p) = &probe {
-                p.deduped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        seq += 1;
-        reader.commit_acks();
-    }
-    if control.as_ref().is_some_and(|c| c.is_cancelled()) {
-        return Err(FilterError::cancelled(who, "run cancelled during transmit"));
-    }
-    tx.write_frame(&Frame::End { from: producer })?;
-    tx.write_frame(&Frame::Close)?;
-    Ok(NetLinkStats {
-        frames,
-        bytes,
-        deduped,
-        ..Default::default()
-    })
+    Ok((tx, resume))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{logical_stream, Distribution};
+    use crate::buffer::Buffer;
+    use crate::link::egress_pump;
+    use crate::net::encode_data_header;
+    use crate::stream::logical_stream;
     use std::sync::atomic::AtomicU32 as TestCounter;
 
     static NEXT: TestCounter = TestCounter::new(0);
@@ -1451,7 +1290,7 @@ mod tests {
     fn supervised_ring_reset_resumes_from_the_published_watermark() {
         let base = test_base("reset");
         let ingress = ShmIngress::create(&base, 1, MIN_CAPACITY, None).unwrap();
-        let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+        let (mut ws, mut rs) = logical_stream(1, 1, 16, &LinkOptions::default());
         let mut r = rs.remove(0);
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
@@ -1460,13 +1299,16 @@ mod tests {
             }
             seen
         });
-        let tuning = NetTuning {
-            supervised: true,
-            reconnect: Duration::from_secs(5),
+        let opts = LinkOptions {
+            tuning: crate::net::NetTuning {
+                supervised: true,
+                reconnect: Duration::from_secs(5),
+                ..Default::default()
+            },
             ..Default::default()
         };
         let writers = vec![ws.remove(0)];
-        let serve = std::thread::spawn(move || ingress.serve_tuned(7, writers, None, None, tuning));
+        let serve = std::thread::spawn(move || ingress.serve(7, writers, &opts));
 
         // First incarnation: Hello + 5 packets, then dies without End
         // (the drop sets producer_closed, standing in for a SIGKILL that
@@ -1535,7 +1377,7 @@ mod tests {
         let packets_per_producer = 200usize;
         let mut pumps = Vec::new();
         for p in 0..producers {
-            let (mut ws, mut rs) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+            let (mut ws, mut rs) = logical_stream(1, 1, 16, &LinkOptions::default());
             let (w, r) = (ws.remove(0), rs.remove(0));
             let base = base.clone();
             pumps.push(std::thread::spawn(move || {
@@ -1547,14 +1389,15 @@ mod tests {
                     }
                     w.close();
                 });
-                let stats = shm_egress_pump_probed(r, &base, 7, p as u32, None, None).unwrap();
+                let addr = format!("{SHM_PREFIX}{base}");
+                let stats = egress_pump(r, &addr, 7, p as u32, &LinkOptions::default()).unwrap();
                 feeder.join().unwrap();
                 stats
             }));
         }
 
         // Consumer side: a 2→1 local stream fed by the ingress.
-        let (ws, mut rs) = logical_stream(producers, 1, 16, Distribution::RoundRobin);
+        let (ws, mut rs) = logical_stream(producers, 1, 16, &LinkOptions::default());
         let reader = std::thread::spawn(move || {
             let mut seen = Vec::new();
             let mut r = rs.remove(0);
@@ -1563,7 +1406,7 @@ mod tests {
             }
             seen
         });
-        let stats = ingress.serve_probed(7, ws, None, None).unwrap();
+        let stats = ingress.serve(7, ws, &LinkOptions::default()).unwrap();
         assert_eq!(stats.frames, (producers * packets_per_producer) as u64);
         let mut per_producer = vec![Vec::new(); producers];
         for b in reader.join().unwrap() {

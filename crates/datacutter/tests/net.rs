@@ -1,9 +1,12 @@
 //! Loopback-TCP integration tests for the distributed stream transport:
-//! real sockets, real worker topologies, chaos through the wire.
+//! real sockets, real worker topologies, chaos through the wire, and the
+//! TCP/shm conformance of the shared ingress loop.
 
 use cgp_datacutter::{
-    egress_pump, logical_stream, serve_ingress, Buffer, ClosureFilter, Distribution, FaultPlan,
-    FilterIo, Frame, Pipeline, RecoveryOptions, RunControl, StageSpec, WorkerEndpoints,
+    egress_pump, logical_stream, ring_path, serve_ingress, shm_dir, shm_supported, Buffer,
+    BytePipe, ClosureFilter, FaultPlan, FilterIo, FilterResult, Frame, Ingress, LinkOptions,
+    LinkProbe, NetLinkStats, Pipeline, RecoveryOptions, RunControl, ShmIngress, ShmSender,
+    StageSpec, StreamWriter, WorkerEndpoints,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -104,8 +107,7 @@ fn run_three_workers(n: u64, width: usize, faults: Option<FaultPlan>) -> u64 {
                 }
                 p.run_worker(WorkerEndpoints {
                     stage,
-                    listener,
-                    shm_ingress: None,
+                    ingress: listener.map(Ingress::Tcp),
                     connect,
                 })
                 .unwrap_or_else(|e| panic!("worker {stage}: {e}"));
@@ -144,8 +146,9 @@ fn ingress_preserves_fifo_per_producer() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let producers = 3u32;
-    let (writers, readers) = logical_stream(producers as usize, 1, 64, Distribution::RoundRobin);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 7, writers, None));
+    let (writers, readers) = logical_stream(producers as usize, 1, 64, &LinkOptions::default());
+    let serve =
+        std::thread::spawn(move || serve_ingress(listener, 7, writers, &LinkOptions::default()));
     let senders: Vec<_> = (0..producers)
         .map(|p| {
             std::thread::spawn(move || {
@@ -192,9 +195,10 @@ fn backpressure_bounds_the_producer_through_the_socket() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     // Consumer side: capacity 2, a gate holding the reader shut.
-    let (writers, readers) = logical_stream(1, 1, 2, Distribution::RoundRobin);
+    let (writers, readers) = logical_stream(1, 1, 2, &LinkOptions::default());
     let gate = Arc::new(AtomicBool::new(false));
-    let serve = std::thread::spawn(move || serve_ingress(listener, 1, writers, None));
+    let serve =
+        std::thread::spawn(move || serve_ingress(listener, 1, writers, &LinkOptions::default()));
     let gate2 = Arc::clone(&gate);
     let consumer = std::thread::spawn(move || {
         while !gate2.load(Ordering::Acquire) {
@@ -211,7 +215,7 @@ fn backpressure_bounds_the_producer_through_the_socket() {
     });
     // Producer side: 16 × 4 MiB — far beyond what the capacity-2 stream
     // plus kernel socket buffers can absorb.
-    let (mut pw, pr) = logical_stream(1, 1, 4, Distribution::RoundRobin);
+    let (mut pw, pr) = logical_stream(1, 1, 4, &LinkOptions::default());
     let done_sending = Arc::new(AtomicBool::new(false));
     let done2 = Arc::clone(&done_sending);
     let producer = std::thread::spawn(move || {
@@ -222,7 +226,14 @@ fn backpressure_bounds_the_producer_through_the_socket() {
         done2.store(true, Ordering::Release);
     });
     let pump = std::thread::spawn(move || {
-        egress_pump(pr.into_iter().next().unwrap(), &addr, 1, 0, None).unwrap()
+        egress_pump(
+            pr.into_iter().next().unwrap(),
+            &addr,
+            1,
+            0,
+            &LinkOptions::default(),
+        )
+        .unwrap()
     });
     // With the gate shut the producer cannot finish: 64 MiB has nowhere
     // to go.
@@ -250,9 +261,19 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let control = RunControl::new();
-    let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
+    let (writers, readers) = logical_stream(1, 1, 16, &LinkOptions::default());
     let c2 = Arc::clone(&control);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 1, writers, Some(c2)));
+    let serve = std::thread::spawn(move || {
+        serve_ingress(
+            listener,
+            1,
+            writers,
+            &LinkOptions {
+                control: Some(c2),
+                ..Default::default()
+            },
+        )
+    });
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
         let mut n = 0;
@@ -285,8 +306,9 @@ fn disconnect_mid_frame_fails_the_link_loudly() {
 fn reconnect_dedups_duplicates_and_never_regresses_acks() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
-    let serve = std::thread::spawn(move || serve_ingress(listener, 3, writers, None));
+    let (writers, readers) = logical_stream(1, 1, 16, &LinkOptions::default());
+    let serve =
+        std::thread::spawn(move || serve_ingress(listener, 3, writers, &LinkOptions::default()));
     let drain = std::thread::spawn(move || {
         let mut r = readers.into_iter().next().unwrap();
         let mut seen = Vec::new();
@@ -339,8 +361,10 @@ fn handshake_rejects_wrong_link_and_producer() {
     ] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (writers, readers) = logical_stream(1, 1, 16, Distribution::RoundRobin);
-        let serve = std::thread::spawn(move || serve_ingress(listener, 5, writers, None));
+        let (writers, readers) = logical_stream(1, 1, 16, &LinkOptions::default());
+        let serve = std::thread::spawn(move || {
+            serve_ingress(listener, 5, writers, &LinkOptions::default())
+        });
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&hello_bytes).unwrap();
         let err = serve.join().unwrap().unwrap_err();
@@ -353,6 +377,120 @@ fn handshake_rejects_wrong_link_and_producer() {
         // The local reader is released rather than stranded.
         let mut r = readers.into_iter().next().unwrap();
         assert!(r.read().is_none(), "{what}: reader unblocked");
+    }
+}
+
+/// How one link ended: its stats, or the error's kind, endpoint (with
+/// the `net.`/`shm.` transport prefix stripped) and message; plus what
+/// the live probe counted before the end.
+type Outcome = (
+    Result<NetLinkStats, (cgp_datacutter::ErrorKind, String, String)>,
+    NetLinkStats,
+);
+
+/// Serve a 1-producer link with `serve` while `feed` plays producer 0.
+fn link_outcome<S>(prefix: &str, serve: S, feed: impl FnOnce()) -> Outcome
+where
+    S: FnOnce(Vec<StreamWriter>, &LinkOptions) -> FilterResult<NetLinkStats> + Send + 'static,
+{
+    let (writers, _readers) = logical_stream(1, 1, 16, &LinkOptions::default());
+    let probe = Arc::new(LinkProbe::default());
+    let opts = LinkOptions {
+        probe: Some(Arc::clone(&probe)),
+        ..Default::default()
+    };
+    let serve = std::thread::spawn(move || serve(writers, &opts));
+    feed();
+    let res = serve.join().unwrap().map_err(|e| {
+        let endpoint = e.filter.strip_prefix(prefix).expect("transport prefix");
+        (e.kind, endpoint.to_string(), e.message)
+    });
+    let live = NetLinkStats {
+        frames: probe.frames.load(Ordering::Relaxed),
+        bytes: probe.bytes.load(Ordering::Relaxed),
+        deduped: probe.deduped.load(Ordering::Relaxed),
+        ..Default::default()
+    };
+    (res, live)
+}
+
+fn over_tcp(frames: &[Frame]) -> Outcome {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let serve = move |w, opts: &LinkOptions| serve_ingress(listener, 7, w, opts);
+    link_outcome("net.", serve, || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&hello(7, 0)).unwrap();
+        assert_eq!(read_hello_ack(&mut s), 0);
+        frames.iter().for_each(|f| s.write_all(&raw(f)).unwrap());
+    })
+}
+
+fn over_shm(frames: &[Frame]) -> Outcome {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let base = shm_dir().join(format!("cgp-net-conformance-{}-{n}", std::process::id()));
+    let base = base.display().to_string();
+    let rings = ShmIngress::create(&base, 1, 1 << 16, None).unwrap();
+    let serve = move |w, opts: &LinkOptions| rings.serve(7, w, opts);
+    link_outcome("shm.", serve, || {
+        let mut tx = ShmSender::attach(&ring_path(&base, 0), None, "test".into()).unwrap();
+        tx.write_all(&hello(7, 0)).unwrap();
+        frames.iter().for_each(|f| tx.write_all(&raw(f)).unwrap());
+    })
+}
+
+/// Both transports run one ingress loop, so a bad frame sequence ends a
+/// TCP link and a shm ring the same way: the same error kind and message,
+/// the same endpoint apart from the transport prefix, and the same
+/// counters. Close before End is left out on purpose: an unsupervised
+/// TCP slot waits for the producer to reconnect, while an unsupervised
+/// shm ring fails.
+#[test]
+fn tcp_and_shm_ingress_agree_on_bad_frame_sequences() {
+    if !shm_supported() {
+        return;
+    }
+    let data = |from: u32, seq: u64| Frame::Data {
+        from,
+        seq,
+        payload: vec![seq as u8; 3],
+    };
+    let end = |from| Frame::End { from };
+    let cases = [
+        ("Data from the wrong producer", vec![data(0, 0), data(1, 1)]),
+        ("End from the wrong producer", vec![data(0, 0), end(1)]),
+        (
+            "mid-stream HelloAck",
+            vec![data(0, 0), Frame::HelloAck { resume_seq: 1 }],
+        ),
+        ("sequence gap", vec![data(0, 0), data(0, 2)]),
+        (
+            "duplicated seq",
+            vec![data(0, 0), data(0, 1), data(0, 1), data(0, 2), end(0)],
+        ),
+    ];
+    for (what, frames) in cases {
+        let (res, live) = over_tcp(&frames);
+        assert_eq!((res.clone(), live), over_shm(&frames), "{what}");
+        match res {
+            Ok(stats) => {
+                assert_eq!(
+                    (stats.frames, stats.bytes, stats.deduped),
+                    (3, 9, 1),
+                    "{what}"
+                );
+                assert_eq!(
+                    stats, live,
+                    "{what}: the live probe matches the final stats"
+                );
+            }
+            Err((kind, endpoint, _)) => {
+                assert_eq!(kind, cgp_datacutter::ErrorKind::Malformed, "{what}");
+                assert_eq!(endpoint, "ingress[0]", "{what}");
+                assert_eq!(live.frames, 1, "{what}: the good frame was delivered");
+            }
+        }
     }
 }
 

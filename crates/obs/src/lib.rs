@@ -67,3 +67,11 @@ pub use telemetry::{
     StageSample, TelemetrySample, TelemetrySampler, STATUS_EVERY_ENV, TELEMETRY_LOG_ENV,
 };
 pub use trace::{enabled, install_sink, span, ArgValue, Span, TraceEvent, TRACE_ENV};
+
+/// Lock a mutex, tolerating poisoning: the workspace's mutexes guard plain
+/// data (counters, queues, registries) that a panicking holder cannot
+/// leave logically corrupt, so one panicked thread must not turn every
+/// other thread's bookkeeping into a second panic.
+pub fn plock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -24,6 +24,7 @@
 //! processes with its own.
 
 use crate::json::Json;
+use crate::plock;
 use std::fs::File;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,7 +292,7 @@ impl TelemetrySampler {
         if self.status {
             eprintln!("{}", sample.render_status_line());
         }
-        *lock(&self.latest) = Some(sample.clone());
+        *plock(&self.latest) = Some(sample.clone());
         sample
     }
 
@@ -300,24 +301,20 @@ impl TelemetrySampler {
     /// registries). A no-op without a log sink.
     pub fn log_json(&self, j: &Json) {
         if let Some(log) = &self.log {
-            let mut f = log.lock().unwrap_or_else(|e| e.into_inner());
+            let mut f = plock(log);
             let _ = writeln!(f, "{j}");
         }
     }
 
     /// The most recent sample recorded, if any.
     pub fn latest(&self) -> Option<TelemetrySample> {
-        lock(&self.latest).clone()
+        plock(&self.latest).clone()
     }
 
     /// Samples recorded so far.
     pub fn samples(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
